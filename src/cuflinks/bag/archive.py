@@ -12,6 +12,7 @@ import zipfile
 from pathlib import Path
 
 from cuflinks.bag.io import read_bag
+from cuflinks.bag.model import in_bag_path_problem
 from cuflinks.bag.validate import validate_bag
 from cuflinks.errors import FormatError, ValidationError
 
@@ -56,17 +57,6 @@ def serialize(bag_dir: Path, destination: Path | None = None) -> Path:
     return destination
 
 
-def _member_problem(name: str) -> str | None:
-    if name.startswith("/") or (len(name) > 1 and name[1] == ":"):
-        return "absolute member name"
-    if "\\" in name:
-        return "backslash in member name"
-    parts = name.rstrip("/").split("/")
-    if any(part in ("", ".", "..") for part in parts):
-        return "member name contains empty, . or .. segments"
-    return None
-
-
 def extract(archive_path: Path, destination_parent: Path) -> Path:
     archive_path = Path(archive_path)
     destination_parent = Path(destination_parent)
@@ -75,7 +65,8 @@ def extract(archive_path: Path, destination_parent: Path) -> Path:
         if not names:
             raise FormatError("archive is empty", path=str(archive_path))
         for name in names:
-            problem = _member_problem(name)
+            # a member name is an in-bag path under the root directory
+            problem = in_bag_path_problem(name.removesuffix("/"))
             if problem:
                 raise FormatError(f"unsafe member {name!r}: {problem}",
                                   path=str(archive_path))

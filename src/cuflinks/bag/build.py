@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from cuflinks.bag import tagfiles
+from cuflinks.bag.io import walk_files
 from cuflinks.bag.model import Bag, BagDeclaration, Entry
 from cuflinks.hashing import check_algorithm, multi_digest_bytes, \
     multi_digest_file
@@ -31,16 +32,6 @@ Clock = Callable[[], datetime]
 
 def _default_clock() -> datetime:
     return datetime.now(timezone.utc)
-
-
-def _walk_files(root: Path) -> list[tuple[str, Path]]:
-    if not root.is_dir():
-        raise NotADirectoryError(f"not a readable directory: {root}")
-    found = []
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            found.append((path.relative_to(root).as_posix(), path))
-    return found
 
 
 def _guess_mediatype(path: str) -> str:
@@ -77,12 +68,10 @@ def create_bag(source: Path,
     now = now.astimezone(timezone.utc)
 
     source = Path(source)
-    payload = {f"data/{rel}": Entry(source=path)
-               for rel, path in _walk_files(source)}
+    payload = walk_files(source, "data/")
     tag_metadata: dict[str, Entry] = {}
     if metadata is not None:
-        tag_metadata = {f"metadata/{rel}": Entry(source=path)
-                        for rel, path in _walk_files(Path(metadata))}
+        tag_metadata = walk_files(Path(metadata), "metadata/")
 
     manifests: dict[str, dict[str, str]] = {a: {} for a in algorithms}
     total_bytes = 0

@@ -52,11 +52,14 @@ def write_bag(bag: Bag, parent: Path) -> Path:
     return destination
 
 
-def _walk_into(directory: Path, prefix: str, sink: dict[str, Entry]) -> None:
-    for path in sorted(directory.rglob("*")):
-        if path.is_file():
-            rel = path.relative_to(directory).as_posix()
-            sink[f"{prefix}{rel}"] = Entry(source=path)
+def walk_files(directory: Path, prefix: str) -> dict[str, Entry]:
+    """Every file under ``directory``, in sorted order, keyed by
+    ``prefix`` plus its relative POSIX path."""
+    if not directory.is_dir():
+        raise NotADirectoryError(f"not a readable directory: {directory}")
+    return {f"{prefix}{path.relative_to(directory).as_posix()}":
+            Entry(source=path)
+            for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
 def read_bag(location: Path) -> Bag:
@@ -78,12 +81,12 @@ def read_bag(location: Path) -> Bag:
             continue
         if child.is_dir():
             if child.name == "data":
-                _walk_into(child, "data/", payload)
+                payload.update(walk_files(child, "data/"))
             elif child.name == "metadata":
-                _walk_into(child, "metadata/", tag_metadata)
+                tag_metadata.update(walk_files(child, "metadata/"))
             else:
                 # unrecognized tag directory, carried opaquely
-                _walk_into(child, f"{child.name}/", tag_files)
+                tag_files.update(walk_files(child, f"{child.name}/"))
         else:
             tag_files[child.name] = Entry(source=child)
 

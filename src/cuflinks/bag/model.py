@@ -114,6 +114,13 @@ def payload_path_problem(path: str) -> str | None:
     return None
 
 
+def _tag_listing_problem(path: str) -> str | None:
+    problem = in_bag_path_problem(path)
+    if problem is None and path.startswith(PAYLOAD_PREFIX):
+        return "tag manifests must not list payload files"
+    return problem
+
+
 @dataclass(eq=False)
 class Bag:
     """A bag: payload plus tag files, with parsed views of the latter.
@@ -213,28 +220,19 @@ class Bag:
                 problem = "tag files live outside data/ and metadata/"
             if problem:
                 raise InvariantError(f"tag path {path!r}: {problem}")
-        for alg, manifest in self.manifests.items():
-            for path, digest in manifest.items():
-                problem = payload_path_problem(path)
-                if problem:
-                    raise InvariantError(
-                        f"manifest-{alg} path {path!r}: {problem}")
-                if not is_hex_digest(digest, alg):
-                    raise InvariantError(
-                        f"manifest-{alg} digest for {path!r} is not a "
-                        f"{alg} hex digest")
-        for alg, manifest in self.tag_manifests.items():
-            for path, digest in manifest.items():
-                problem = in_bag_path_problem(path)
-                if problem is None and path.startswith(PAYLOAD_PREFIX):
-                    problem = "tag manifests must not list payload files"
-                if problem:
-                    raise InvariantError(
-                        f"tagmanifest-{alg} path {path!r}: {problem}")
-                if not is_hex_digest(digest, alg):
-                    raise InvariantError(
-                        f"tagmanifest-{alg} digest for {path!r} is not a "
-                        f"{alg} hex digest")
+        for kind, manifests, path_problem in (
+                ("manifest", self.manifests, payload_path_problem),
+                ("tagmanifest", self.tag_manifests, _tag_listing_problem)):
+            for alg, manifest in manifests.items():
+                for path, digest in manifest.items():
+                    problem = path_problem(path)
+                    if problem:
+                        raise InvariantError(
+                            f"{kind}-{alg} path {path!r}: {problem}")
+                    if not is_hex_digest(digest, alg):
+                        raise InvariantError(
+                            f"{kind}-{alg} digest for {path!r} is not a "
+                            f"{alg} hex digest")
         seen_fetch: set[str] = set()
         for entry in self.fetch:
             if entry.path in seen_fetch:

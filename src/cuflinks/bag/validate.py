@@ -13,9 +13,10 @@ single-file mutation attributable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from cuflinks.bag import tagfiles
-from cuflinks.bag.model import Bag
+from cuflinks.bag.model import Bag, Entry
 from cuflinks.hashing import multi_digest_bytes, multi_digest_file
 
 MISSING = "missing"
@@ -113,8 +114,8 @@ def validate_bag(bag: Bag, level: str = FAST) -> ValidationReport:
                         f"lists {path}, which is absent from the bag")
 
     if level == FULL:
-        _check_payload_digests(bag, out)
-        _check_tag_digests(bag, tag_entries, out)
+        _check_digests(bag.manifests, bag.payload, out, tags=False)
+        _check_digests(bag.tag_manifests, tag_entries, out, tags=True)
 
     return ValidationReport(level=level, findings=out.findings())
 
@@ -138,46 +139,43 @@ def _check_oxum(bag: Bag, declared: str, out: _Collector) -> None:
                 f"{actual_bytes}")
 
 
-def _check_payload_digests(bag: Bag, out: _Collector) -> None:
-    needed: dict[str, list[str]] = {}
-    for algorithm, manifest in bag.manifests.items():
-        for path in manifest:
-            if path in bag.payload:
-                needed.setdefault(path, []).append(algorithm)
-    for path in sorted(needed):
-        algorithms = needed[path]
-        entry = bag.payload[path]
-        if entry.content is not None:
-            actual = multi_digest_bytes(entry.content, algorithms)
-        else:
-            actual = multi_digest_file(entry.source, algorithms)
-        for algorithm in sorted(algorithms):
-            expected = bag.manifests[algorithm][path]
-            if actual[algorithm] != expected:
-                out.add(path, DIGEST_MISMATCH,
-                        f"{algorithm}: manifest says {expected}, content "
-                        f"is {actual[algorithm]}")
+def digest_mismatches(expected: Mapping[str, str],
+                      actual: Mapping[str, str],
+                      source: Callable[[str], str]) -> dict[str, str]:
+    """Each algorithm whose ``actual`` digest differs from ``expected``,
+    mapped to a line naming both; ``source(algorithm)`` names the record
+    that holds the expected digest."""
+    return {alg: f"{alg}: {source(alg)} says {expected[alg]}, content is "
+                 f"{actual[alg]}"
+            for alg in sorted(expected) if actual[alg] != expected[alg]}
 
 
-def _check_tag_digests(bag: Bag, tag_entries, out: _Collector) -> None:
-    needed: dict[str, list[str]] = {}
-    for algorithm, tag_manifest in bag.tag_manifests.items():
-        for path in tag_manifest:
-            if path in tag_entries:
-                needed.setdefault(path, []).append(algorithm)
+def payload_manifest_source(algorithm: str) -> str:
+    """Payload mismatch lines name "manifest", whatever the algorithm."""
+    return "manifest"
+
+
+def _check_digests(manifests: dict[str, dict[str, str]],
+                   entries: Mapping[str, Entry], out: _Collector,
+                   *, tags: bool) -> None:
+    needed: dict[str, dict[str, str]] = {}
+    for algorithm, manifest in manifests.items():
+        for path, digest in manifest.items():
+            if path in entries:
+                needed.setdefault(path, {})[algorithm] = digest
+    source = (tagfiles.tag_manifest_filename if tags
+              else payload_manifest_source)
     for path in sorted(needed):
-        algorithms = needed[path]
-        entry = tag_entries[path]
+        expected = needed[path]
+        entry = entries[path]
         if entry.content is not None:
-            actual = multi_digest_bytes(entry.content, algorithms)
+            actual = multi_digest_bytes(entry.content, expected)
         else:
-            actual = multi_digest_file(entry.source, algorithms)
-        for algorithm in sorted(algorithms):
-            expected = bag.tag_manifests[algorithm][path]
-            if actual[algorithm] != expected:
-                name = tagfiles.tag_manifest_filename(algorithm)
-                out.add(path, DIGEST_MISMATCH,
-                        f"{algorithm}: {name} says {expected}, content "
-                        f"is {actual[algorithm]}")
-                out.add(name, DIGEST_MISMATCH,
+            actual = multi_digest_file(entry.source, expected)
+        for algorithm, detail in digest_mismatches(expected, actual,
+                                                   source).items():
+            out.add(path, DIGEST_MISMATCH, detail)
+            if tags:
+                out.add(tagfiles.tag_manifest_filename(algorithm),
+                        DIGEST_MISMATCH,
                         f"entry for {path} disagrees with bag contents")

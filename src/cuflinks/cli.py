@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 from contextlib import ExitStack
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -34,6 +33,7 @@ from cuflinks.links import (EnvironmentRef, Ledger, LinkageRecord, MethodRef,
                             capture_environment, ci_verify, declare_root,
                             record_linkage, verify_chain)
 from cuflinks.links.chain import FULL_FIXITY, INTACT, RESOLVE_ONLY
+from cuflinks.links.ledger import now_utc
 from cuflinks.minid import (MinidFetcher, Registry, RegistryClient,
                             RegistryServer, parse_identifier,
                             resolve_to_bytes)
@@ -79,11 +79,6 @@ def _mapped(func):
 
 def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _now_utc() -> str:
-    return (datetime.now(timezone.utc).isoformat(timespec="seconds")
-            .replace("+00:00", "Z"))
 
 
 def _settings(ctx: click.Context, **overrides) -> Config:
@@ -338,9 +333,8 @@ def minid_resolve(ctx, identifier, download_to, store_path, as_json) -> None:
         resolver = _open_resolver(config, stack)
         record = resolver.resolve(identifier)
         if download_to is not None:
-            _, verdict = resolve_to_bytes(identifier, resolver,
-                                          _scheme_registry(resolver),
-                                          destination=download_to)
+            resolve_to_bytes(identifier, resolver, _scheme_registry(resolver),
+                             destination=download_to)
     if as_json:
         payload = record.to_json()
         if download_to is not None:
@@ -445,7 +439,7 @@ def link_record(ctx, output_id, input_ids, commit_ref, method_artifact,
                    else _environment_from_file(env_file))
     record = LinkageRecord(output=output_id, inputs=tuple(input_ids),
                            method=method, environment=environment,
-                           actor=actor, performed_at=_now_utc(),
+                           actor=actor, performed_at=now_utc(),
                            notes=notes)
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
@@ -564,6 +558,14 @@ def dict_group() -> None:
     """Maintain and check the descriptive-term dictionary."""
 
 
+def _dictionary_path(ctx: click.Context, dict_path: Path | None) -> Path:
+    config = _settings(ctx, dictionary=dict_path)
+    if not config.dictionary:
+        raise ConfigError("no dictionary configured: pass --dict or set "
+                          "dictionary in the config")
+    return Path(config.dictionary)
+
+
 def _check_payload(check, value: str, field: str | None) -> dict:
     body: dict = {"value": value, "ok": check.ok}
     if field is not None:
@@ -590,11 +592,7 @@ def _check_payload(check, value: str, field: str | None) -> dict:
 @_mapped
 def dict_check(ctx, term, dict_path, field, as_json) -> None:
     """Validate TERM (or, without it, one term per stdin line)."""
-    config = _settings(ctx, dictionary=dict_path)
-    if not config.dictionary:
-        raise ConfigError("no dictionary configured: pass --dict or set "
-                          "dictionary in the config")
-    dictionary = load_dictionary(Path(config.dictionary))
+    dictionary = load_dictionary(_dictionary_path(ctx, dict_path))
     values = ([term] if term is not None
               else [line.rstrip("\n") for line in sys.stdin
                     if line.strip()])
@@ -642,11 +640,7 @@ def dict_add(ctx, term, canonical_id, definition, actor, dict_path,
 
     A missing dictionary file is started fresh.
     """
-    config = _settings(ctx, dictionary=dict_path)
-    if not config.dictionary:
-        raise ConfigError("no dictionary configured: pass --dict or set "
-                          "dictionary in the config")
-    path = Path(config.dictionary)
+    path = _dictionary_path(ctx, dict_path)
     dictionary = (load_dictionary(path) if path.exists()
                   else TermDictionary(terms={}))
     updated, entry = add_term(dictionary, term, canonical_id, definition,
@@ -674,11 +668,7 @@ def dict_add(ctx, term, canonical_id, definition, actor, dict_path,
 def dict_deprecate(ctx, term, superseded_by, actor, dict_path,
                    changelog_path, as_json) -> None:
     """Retire TERM in favor of another term."""
-    config = _settings(ctx, dictionary=dict_path)
-    if not config.dictionary:
-        raise ConfigError("no dictionary configured: pass --dict or set "
-                          "dictionary in the config")
-    path = Path(config.dictionary)
+    path = _dictionary_path(ctx, dict_path)
     dictionary = load_dictionary(path)
     updated, entry = deprecate_term(dictionary, term, superseded_by,
                                     actor=actor)

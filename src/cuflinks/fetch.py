@@ -23,7 +23,8 @@ from cuflinks.bag import tagfiles
 from cuflinks.bag.io import read_bag
 from cuflinks.bag.model import Bag, FetchEntry
 from cuflinks.bag.tagfiles import parse_fetch, render_fetch
-from cuflinks.bag.validate import FAST, validate_bag
+from cuflinks.bag.validate import (FAST, digest_mismatches,
+                                   payload_manifest_source, validate_bag)
 from cuflinks.errors import (IdentifierError, IntegrityError, LockError,
                              NotFoundError, RegistryError, TransferError,
                              ValidationError)
@@ -38,7 +39,6 @@ __all__ = [
     "MaterializationReport",
     "Outcome",
     "materialize",
-    "verify_completeness",
 ]
 
 WORKSPACE_DIR = ".bdbag-tmp"
@@ -86,18 +86,6 @@ def _bag_lock(bag_dir: Path):
         yield
     finally:
         handle.close()  # releases the lock
-
-
-def verify_completeness(bag_dir: Path) -> tuple[bool, tuple[str, ...]]:
-    """(complete, pending paths): complete means no fetch entries remain
-    and every manifest path exists locally."""
-    bag = read_bag(bag_dir)
-    pending = {entry.path for entry in bag.fetch}
-    for manifest in bag.manifests.values():
-        for path in manifest:
-            if path not in bag.payload:
-                pending.add(path)
-    return (not pending, tuple(sorted(pending)))
 
 
 def materialize(bag_dir: Path,
@@ -212,13 +200,12 @@ def _materialize_one(entry: FetchEntry, bag: Bag, bag_dir: Path,
             # fast validation already rejects uncovered entries
             return Outcome(entry.path, entry.url, DIGEST_MISMATCH,
                            "no payload manifest covers this path")
-        actual = multi_digest_file(staging, expected)
-        mismatches = [
-            f"{alg}: manifest says {expected[alg]}, content is {actual[alg]}"
-            for alg in sorted(expected) if actual[alg] != expected[alg]]
+        mismatches = digest_mismatches(
+            expected, multi_digest_file(staging, expected),
+            payload_manifest_source)
         if mismatches:
             return Outcome(entry.path, entry.url, DIGEST_MISMATCH,
-                           "; ".join(mismatches))
+                           "; ".join(mismatches.values()))
 
         target = bag_dir / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)

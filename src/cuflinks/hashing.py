@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 from typing import Iterable
 
@@ -11,6 +12,8 @@ DEFAULT_ALGORITHM = "sha256"
 
 # expected hex-digest length per algorithm, used to sanity-check parsed text
 HEX_DIGEST_LENGTHS = {"md5": 32, "sha256": 64, "sha512": 128}
+_HEX_DIGEST_RES = {algorithm: re.compile(f"[0-9a-f]{{{length}}}")
+                   for algorithm, length in HEX_DIGEST_LENGTHS.items()}
 
 _CHUNK_SIZE = 1024 * 1024
 
@@ -27,9 +30,8 @@ def check_algorithm(name: str) -> str:
 
 
 def is_hex_digest(text: str, algorithm: str) -> bool:
-    if len(text) != HEX_DIGEST_LENGTHS[algorithm]:
-        return False
-    return all(c in "0123456789abcdef" for c in text)
+    """True when ``text`` is a lowercase hex digest of ``algorithm``."""
+    return _HEX_DIGEST_RES[algorithm].fullmatch(text) is not None
 
 
 def digest_bytes(data: bytes, algorithm: str = DEFAULT_ALGORITHM) -> str:

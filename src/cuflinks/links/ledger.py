@@ -105,20 +105,25 @@ class Ledger:
         with open(lock_path, "a+b") as lock_handle:
             fcntl.flock(lock_handle, fcntl.LOCK_EX)
             prev = GENESIS_DIGEST
+            # a torn last line (a crashed writer's partial record) gets
+            # its own line back, so the new record is not merged into it
+            separator = b""
             if self.path.exists():
                 raw = self.path.read_bytes()
                 lines = [l for l in raw.split(b"\n") if l]
                 if lines:
                     prev = hashlib.sha256(lines[-1]).hexdigest()
+                if raw and not raw.endswith(b"\n"):
+                    separator = b"\n"
             payload = dict(body)
             payload["prev"] = prev
             with open(self.path, "ab") as handle:
-                handle.write(_canonical_line(payload) + b"\n")
+                handle.write(separator + _canonical_line(payload) + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
 
 
-def _now_utc() -> str:
+def now_utc() -> str:
     return (datetime.now(timezone.utc).isoformat(timespec="seconds")
             .replace("+00:00", "Z"))
 
@@ -149,7 +154,7 @@ def record_linkage(ledger: Ledger, record: LinkageRecord,
 
 
 def declare_root(ledger: Ledger, identifier: str, *, actor: str,
-                 clock: Callable[[], str] = _now_utc,
+                 clock: Callable[[], str] = now_utc,
                  notes: str | None = None) -> LedgerView:
     """Mark an identifier as a genuinely external input."""
     record = RootRecord(identifier=identifier, actor=actor,

@@ -5,7 +5,7 @@ from cuflinks.minid.client import (MinidFetcher, RegistryClient,
 from cuflinks.minid.model import (Checksum, MinidRecord, is_valid_identifier,
                                   new_suffix, parse_identifier,
                                   render_identifier)
-from cuflinks.minid.registry import Registry, VerifyResult
+from cuflinks.minid.registry import Registry
 from cuflinks.minid.service import RegistryServer
 from cuflinks.minid.store import EventLog
 
@@ -17,7 +17,6 @@ __all__ = [
     "Registry",
     "RegistryClient",
     "RegistryServer",
-    "VerifyResult",
     "checksum_of_file",
     "is_valid_identifier",
     "new_suffix",

@@ -19,7 +19,6 @@ from cuflinks.errors import (IdentifierError, IntegrityError, NotFoundError,
 from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import ACTIVE, Checksum, MinidRecord, \
     parse_identifier
-from cuflinks.minid.registry import VerifyResult
 from cuflinks.transfer import DEFAULT_TIMEOUT, SchemeRegistry
 from cuflinks.version import USER_AGENT
 
@@ -119,7 +118,7 @@ class RegistryClient:
 def resolve_to_bytes(identifier: str, resolver: Resolver,
                      schemes: SchemeRegistry,
                      destination: Path | None = None
-                     ) -> tuple[bytes | None, VerifyResult]:
+                     ) -> tuple[bytes | None, MinidRecord]:
     """Fetch the content behind an active identifier and verify it.
 
     Locations are tried in order, one attempt each. A location that
@@ -128,8 +127,9 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
     and quietly serving bytes from a sibling location would hide
     that. Only transfer failures fall through to the next location.
 
-    With a destination the verified bytes are left on disk there and the
-    returned content is None; otherwise the bytes come back in memory.
+    Returns the content and the identifier's record. With a destination
+    the verified bytes are left on disk there and the returned content
+    is None; otherwise the bytes come back in memory.
     """
     record = resolver.resolve(identifier)
     if record.status != ACTIVE:
@@ -147,27 +147,18 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
             failures.append(str(exc))
             continue
         content = buffer.getvalue()
-        verdict = _verify_bytes(record, content)
-        if not verdict.match:
+        actual = digest_bytes(content, record.checksum.algorithm)
+        if actual != record.checksum.digest:
             raise IntegrityError(
                 f"{identifier}: content at {location} does not match the "
                 f"registered checksum",
-                expected=verdict.expected, actual=verdict.actual)
+                expected=record.checksum.digest, actual=actual)
         if destination is not None:
             Path(destination).write_bytes(content)
-            return None, verdict
-        return content, verdict
+            return None, record
+        return content, record
     raise TransferError(
         f"{identifier}: every location failed: " + " | ".join(failures))
-
-
-def _verify_bytes(record: MinidRecord, content: bytes) -> VerifyResult:
-    actual = digest_bytes(content, record.checksum.algorithm)
-    return VerifyResult(match=(actual == record.checksum.digest),
-                        expected=record.checksum.digest,
-                        actual=actual,
-                        algorithm=record.checksum.algorithm,
-                        tombstoned=False)
 
 
 def checksum_of_file(path: Path) -> Checksum:

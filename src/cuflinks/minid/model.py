@@ -7,7 +7,7 @@ import secrets
 from dataclasses import dataclass, replace
 
 from cuflinks.errors import IdentifierError
-from cuflinks.hashing import is_hex_digest
+from cuflinks.hashing import SUPPORTED_ALGORITHMS, is_hex_digest
 
 PREFIX = "minid"
 
@@ -61,7 +61,7 @@ class Checksum:
     digest: str
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("md5", "sha256", "sha512"):
+        if self.algorithm not in SUPPORTED_ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not is_hex_digest(self.digest, self.algorithm):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Registry operations over the event log: mint, resolve, update, verify.
+"""Registry operations over the event log: mint, resolve, update.
 
 The in-memory index is a pure replay of the log. Every mutation appends
 its event durably before the index changes, so a crash between the two
@@ -8,15 +8,14 @@ loses nothing: replay rebuilds the index from the log.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import urlsplit
 
 from cuflinks.errors import (CycleError, IdentifierError, NotFoundError,
                              RegistryError, StoreError)
-from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import (ACTIVE, SUPERSEDED, TOMBSTONED, Checksum,
                                   MinidRecord, is_valid_identifier,
                                   is_valid_suffix, new_suffix,
@@ -38,15 +37,6 @@ def _timestamp(clock: Clock) -> str:
         raise ValueError("clock must return timezone-aware datetimes")
     return (now.astimezone(timezone.utc)
             .isoformat(timespec="seconds").replace("+00:00", "Z"))
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    match: bool
-    expected: str
-    actual: str
-    algorithm: str
-    tombstoned: bool
 
 
 class Registry:
@@ -98,19 +88,12 @@ class Registry:
                 loc for loc in record.locations
                 if loc != event["location"]))
         elif op == "tombstoned":
-            record = self._index[suffix]
-            self._index[suffix] = MinidRecord(
-                identifier=record.identifier, author=record.author,
-                created=record.created, title=record.title,
-                locations=record.locations, checksum=record.checksum,
-                status=TOMBSTONED)
+            self._index[suffix] = replace(self._index[suffix],
+                                          status=TOMBSTONED)
         elif op == "superseded":
-            record = self._index[suffix]
-            self._index[suffix] = MinidRecord(
-                identifier=record.identifier, author=record.author,
-                created=record.created, title=record.title,
-                locations=record.locations, checksum=record.checksum,
-                status=SUPERSEDED, superseded_by=event["by"])
+            self._index[suffix] = replace(self._index[suffix],
+                                          status=SUPERSEDED,
+                                          superseded_by=event["by"])
         else:
             raise StoreError(f"event log contains unknown operation {op!r}")
 
@@ -134,19 +117,6 @@ class Registry:
 
     def identifiers(self) -> tuple[str, ...]:
         return tuple(render_identifier(s) for s in sorted(self._index))
-
-    def verify(self, identifier: str, content: bytes | Path) -> VerifyResult:
-        record = self.resolve(identifier)
-        algorithm = record.checksum.algorithm
-        if isinstance(content, (bytes, bytearray)):
-            actual = digest_bytes(bytes(content), algorithm)
-        else:
-            actual = digest_file(Path(content), algorithm)
-        return VerifyResult(match=(actual == record.checksum.digest),
-                            expected=record.checksum.digest,
-                            actual=actual,
-                            algorithm=algorithm,
-                            tombstoned=(record.status == TOMBSTONED))
 
     # --- writes ---------------------------------------------------------
 

@@ -9,7 +9,9 @@ Routes (JSON bodies, UTF-8):
                            changes ("tombstone": true, "supersede_by")
 
 Writes require a bearer token when the server is given one. Reads never
-do. Threaded server: resolution keeps working while a mint is in flight,
+do. Request bodies are capped at MAX_BODY_BYTES (413 above it), and a
+connection that stays silent for REQUEST_TIMEOUT seconds is dropped.
+Threaded server: resolution keeps working while a mint is in flight,
 and the registry serializes writers internally.
 """
 
@@ -25,18 +27,26 @@ from cuflinks.minid.model import TOMBSTONED, Checksum
 from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
+MAX_BODY_BYTES = 1024 * 1024
+REQUEST_TIMEOUT = 30.0
+
+
+class _BodyTooLarge(ValueError):
+    pass
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = USER_AGENT
+    # per-connection socket timeout: a client that declares more body
+    # than it sends frees its thread instead of holding it
+    timeout = REQUEST_TIMEOUT
     registry: Registry
     token: str | None
-    quiet: bool
 
     # --- plumbing -------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:
-        if not self.quiet:
-            super().log_message(format, *args)
+        pass  # outcomes go back to the client; no access log on stderr
 
     def _send(self, status: int, body: dict) -> None:
         payload = json.dumps(body, sort_keys=True).encode("utf-8")
@@ -51,6 +61,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte "
+                f"limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -108,6 +124,9 @@ class _Handler(BaseHTTPRequestHandler):
                 locations=tuple(body.get("locations", ())),
                 checksum=Checksum.from_json(body["checksum"]),
             )
+        except _BodyTooLarge as exc:
+            self._error(413, "too-large", str(exc))
+            return
         except (KeyError, TypeError, ValueError,
                 json.JSONDecodeError) as exc:
             self._error(400, "bad-request", f"unusable mint request: {exc}")
@@ -127,6 +146,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = self._read_body()
+        except _BodyTooLarge as exc:
+            self._error(413, "too-large", str(exc))
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, "bad-request", str(exc))
             return
@@ -163,10 +185,9 @@ class RegistryServer:
     """A registry bound to a listening socket, run on a daemon thread."""
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1",
-                 port: int = 0, *, token: str | None = None,
-                 quiet: bool = True) -> None:
+                 port: int = 0, *, token: str | None = None) -> None:
         handler = type("BoundHandler", (_Handler,), {
-            "registry": registry, "token": token, "quiet": quiet})
+            "registry": registry, "token": token})
         self.registry = registry
         self._server = ThreadingHTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None

@@ -134,36 +134,3 @@ def build_ro_manifest(bag: "Bag", aggregates: tuple[RoAggregate, ...],
     validate_ro_manifest(manifest, bag, dictionary)
     return canonical_json_bytes(manifest)
 
-
-def parse_ro_manifest(data: bytes,
-                      filename: str = "metadata/manifest.json") -> RoManifest:
-    try:
-        body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"not valid JSON: {exc}", path=filename) from exc
-    if not isinstance(body, dict):
-        raise FormatError("top level must be a JSON object", path=filename)
-    try:
-        creator = body["createdBy"]
-        aggregates = tuple(
-            RoAggregate(
-                uri=item["uri"],
-                mediatype=item["mediatype"],
-                semantic_type=item.get("semanticType"),
-                created_by=(Agent(**item["createdBy"])
-                            if "createdBy" in item else None),
-                created_on=item.get("createdOn"),
-            )
-            for item in body.get("aggregates", ()))
-        annotations = tuple((item["about"], item["content"])
-                            for item in body.get("annotations", ()))
-        return RoManifest(
-            created_on=body["createdOn"],
-            created_by=Agent(name=creator["name"], uri=creator.get("uri")),
-            aggregates=aggregates,
-            annotations=annotations,
-            context=tuple(body.get("@context", ())),
-        )
-    except (KeyError, TypeError, InvariantError) as exc:
-        raise FormatError(f"malformed resource description: {exc!r}",
-                          path=filename) from exc

@@ -36,8 +36,7 @@ class Fetcher(Protocol):
 class HttpFetcher:
     """GET over http/https: streaming, bounded redirects, no cookies."""
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
-        self.timeout = timeout
+    def __init__(self) -> None:
         self._session = requests.Session()
         self._session.max_redirects = MAX_REDIRECTS
         self._session.headers["User-Agent"] = USER_AGENT
@@ -47,7 +46,7 @@ class HttpFetcher:
     def fetch(self, url: str, sink: BinaryIO) -> int:
         try:
             response = self._session.get(url, stream=True,
-                                         timeout=self.timeout)
+                                         timeout=DEFAULT_TIMEOUT)
         except requests.RequestException as exc:
             raise TransferError(f"GET {url} failed: {exc}") from exc
         with response:
@@ -88,9 +87,9 @@ class SchemeRegistry:
         return self._fetchers[scheme]
 
 
-def default_registry(timeout: float = DEFAULT_TIMEOUT) -> SchemeRegistry:
+def default_registry() -> SchemeRegistry:
     registry = SchemeRegistry()
-    http = HttpFetcher(timeout=timeout)
+    http = HttpFetcher()
     registry.register("http", http)
     registry.register("https", http)
     return registry

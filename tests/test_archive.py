@@ -58,14 +58,18 @@ def test_serialize_refuses_existing_destination(bag_dir, tmp_path):
         serialize(bag_dir, target)
 
 
-def test_extract_refuses_traversal(tmp_path):
+@pytest.mark.parametrize("member", [
+    "demo/../escape", "/demo/escape", "demo\\..\\escape", "demo/bad\x01name",
+], ids=["dotdot", "absolute", "backslash", "control-char"])
+def test_extract_refuses_traversal(tmp_path, member):
     evil = tmp_path / "evil.zip"
     with zipfile.ZipFile(evil, "w") as handle:
         handle.writestr("demo/bagit.txt", "x")
-        handle.writestr("demo/../escape", "boom")
+        handle.writestr(member, "boom")
     with pytest.raises(FormatError):
         extract(evil, tmp_path / "out")
     assert not (tmp_path / "escape").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_extract_requires_single_root(tmp_path):

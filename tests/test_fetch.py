@@ -6,12 +6,11 @@ import threading
 import pytest
 
 from cuflinks.bag import create_bag, read_bag, validate_bag, write_bag
-from cuflinks.bag.validate import FULL
+from cuflinks.bag.validate import FAST, FETCH_PENDING, FULL
 from cuflinks.errors import LockError, SchemeError, ValidationError
 from cuflinks.fetch import (DIGEST_MISMATCH, FETCHED, LENGTH_MISMATCH,
                             LOCK_FILE, SKIPPED, TRANSFER_ERROR,
-                            WORKSPACE_DIR, materialize,
-                            verify_completeness)
+                            WORKSPACE_DIR, materialize)
 from cuflinks.minid import MinidFetcher, Registry, checksum_of_file
 from cuflinks.transfer import default_registry
 
@@ -57,9 +56,8 @@ def bag_files(bag_dir):
 
 
 def test_completeness_check(holey_bag):
-    complete, pending = verify_completeness(holey_bag)
-    assert not complete
-    assert pending == ("data/file1", "data/file2")
+    report = validate_bag(read_bag(holey_bag), FAST)
+    assert report.paths(FETCH_PENDING) == ("data/file1", "data/file2")
 
 
 def test_materialize_all(holey_bag, fig3_tree):
@@ -71,7 +69,7 @@ def test_materialize_all(holey_bag, fig3_tree):
     assert (holey_bag / "data" / "file1").read_bytes() == \
         (source / "file1").read_bytes()
     assert (holey_bag / "fetch.txt").read_bytes() == b""
-    assert verify_completeness(holey_bag) == (True, ())
+    assert validate_bag(read_bag(holey_bag), FAST).findings == ()
     assert validate_bag(read_bag(holey_bag), FULL).ok
     assert not (holey_bag / WORKSPACE_DIR).exists()
 

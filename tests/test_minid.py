@@ -202,20 +202,6 @@ def test_index_survives_reopen(tmp_path):
             assert registry.resolve(identifier).status == "active"
 
 
-def test_verify_content(registry, tmp_path):
-    body = b"the real bytes"
-    from cuflinks.hashing import digest_bytes
-    record = mint(registry,
-                  checksum=Checksum("sha256", digest_bytes(body)))
-    good = registry.verify(record.identifier, body)
-    assert good.match and good.algorithm == "sha256"
-    bad = registry.verify(record.identifier, b"other bytes")
-    assert not bad.match
-    path = tmp_path / "content.bin"
-    path.write_bytes(body)
-    assert registry.verify(record.identifier, path).match
-
-
 def test_update_locations(registry):
     record = mint(registry)
     updated = registry.update_locations(record.identifier,

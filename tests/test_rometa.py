@@ -8,7 +8,7 @@ from cuflinks.bag import create_bag
 from cuflinks.errors import FormatError
 from cuflinks.rometa import (Agent, RoAggregate, RoManifest,
                              build_ro_manifest, canonical_json_bytes,
-                             parse_ro_manifest, validate_ro_manifest)
+                             validate_ro_manifest)
 from cuflinks.terms import TermDictionary, TermRecord
 
 from conftest import FIXED_INSTANT
@@ -40,14 +40,15 @@ def test_manifest_envelope_shape(bag):
 
 
 def test_canonical_bytes_are_stable():
-    manifest = RoManifest(
-        created_on="2026-01-15T12:00:00Z", created_by=agent(),
-        aggregates=(RoAggregate(uri="data/b", mediatype="text/plain"),
-                    RoAggregate(uri="data/a", mediatype="text/plain")))
-    first = canonical_json_bytes(manifest)
-    second = canonical_json_bytes(parse_ro_manifest(first))
-    assert first == second
-    assert first.endswith(b"\n")
+    def build() -> bytes:
+        return canonical_json_bytes(RoManifest(
+            created_on="2026-01-15T12:00:00Z", created_by=agent(),
+            aggregates=(RoAggregate(uri="data/b", mediatype="text/plain"),
+                        RoAggregate(uri="data/a", mediatype="text/plain"))))
+    first = build()
+    assert first == build()
+    assert first == (json.dumps(json.loads(first), sort_keys=True, indent=2)
+                     + "\n").encode("utf-8")
 
 
 def test_in_bag_uri_must_exist(bag):
@@ -102,16 +103,3 @@ def test_mediatype_shape_checked():
     from cuflinks.errors import InvariantError
     with pytest.raises(InvariantError):
         RoAggregate(uri="data/x", mediatype="not a mediatype")
-
-
-def test_parse_round_trip(bag):
-    data = build_ro_manifest(
-        bag, (RoAggregate(uri="data/file1", mediatype="text/plain"),),
-        created_on="2026-01-15T12:00:00Z", created_by=agent(),
-        annotations=(("data/file1", "metadata/annotations.txt"),))
-    manifest = parse_ro_manifest(data)
-    assert manifest.created_by.name == "bagging service"
-    assert manifest.aggregates[0].uri == "data/file1"
-    assert manifest.annotations == (("data/file1",
-                                     "metadata/annotations.txt"),)
-    assert canonical_json_bytes(manifest) == data

@@ -159,6 +159,17 @@ def test_post_with_bad_body_is_400(server):
     assert body["error"] == "bad-request"
 
 
+@pytest.mark.parametrize("length,status", [("-1", 400),
+                                           ("99999999", 413)])
+def test_unusable_content_length_is_refused(server, length, status):
+    import socket
+    with socket.create_connection(server.address, timeout=2) as sock:
+        sock.sendall(f"POST /minid HTTP/1.1\r\nHost: registry\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode())
+        reply = sock.recv(4096)
+    assert reply.startswith(f"HTTP/1.0 {status} ".encode())
+
+
 def test_concurrent_mints_over_http(server):
     import threading
     client = RegistryClient(server.base_url)
