@@ -4,7 +4,9 @@ walk_chain builds the produced-from DAG behind one identifier.
 verify_chain resolves every node and, at full depth, re-fetches and
 re-hashes every node's bytes. ci_verify sweeps every terminal output so
 the whole ledger is re-checked the way continuous integration re-runs a
-test suite: frequently, mechanically, and loudly on regression.
+test suite: frequently, mechanically, and loudly on regression. A sweep
+checks each distinct node once and shares that result among the chains
+that contain it; nothing is kept from one sweep to the next.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
                              NotFoundError, NotInLedgerError, RegistryError,
                              SchemeError, TransferError)
+from cuflinks.fileio import write_atomically
 from cuflinks.links.ledger import Ledger, LedgerView
 from cuflinks.minid.client import resolve_to_bytes
 from cuflinks.minid.model import ACTIVE, TOMBSTONED
@@ -145,7 +148,8 @@ def walk_chain(ledger: Ledger | LedgerView, start: str) -> ChainGraph:
 
 
 def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
-                 resolver, schemes: SchemeRegistry | None = None
+                 resolver, schemes: SchemeRegistry | None = None, *,
+                 checked: dict[str, NodeResult] | None = None
                  ) -> ChainReport:
     """Check that every node of the chain still holds its promises.
 
@@ -153,6 +157,10 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
     additionally fetches each node's bytes and re-hashes them, which
     needs a scheme registry. Failures are report content, never raises:
     an unreachable location makes a node unverifiable, not an exception.
+
+    checked, when given, holds the results of nodes already checked at
+    this depth against this ledger view: a node found there is not
+    checked again, and each node checked here is added to it.
     """
     if depth not in (RESOLVE_ONLY, FULL_FIXITY):
         raise ValueError(f"unknown verification depth {depth!r}")
@@ -160,9 +168,14 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
         raise ValueError("full-fixity verification needs a scheme registry")
     view = ledger.load() if isinstance(ledger, Ledger) else ledger
     graph = walk_chain(view, start)
+    if checked is None:
+        checked = {}
 
     results: list[NodeResult] = []
     for identifier in graph.nodes:
+        if identifier in checked:
+            results.append(checked[identifier])
+            continue
         record_present = identifier in view.linkages
         declared_root = identifier in view.roots
         detail_parts: list[str] = []
@@ -187,7 +200,8 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
             detail_parts.append("fixity not checked at resolve-only depth")
         elif resolved and status == ACTIVE:
             try:
-                resolve_to_bytes(identifier, resolver, schemes)
+                resolve_to_bytes(identifier, resolver, schemes,
+                                 record=record)
                 fixity = FIXITY_MATCH
             except IntegrityError as exc:
                 fixity = FIXITY_MISMATCH
@@ -199,10 +213,11 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
                 "content not fetched: identifier is not active")
         if not (record_present or declared_root):
             detail_parts.append("no linkage record and not a declared root")
-        results.append(NodeResult(
+        checked[identifier] = NodeResult(
             identifier=identifier, resolved=resolved, fixity=fixity,
             record_present=record_present, declared_root=declared_root,
-            detail="; ".join(detail_parts)))
+            detail="; ".join(detail_parts))
+        results.append(checked[identifier])
 
     failing = tuple(sorted(r.identifier for r in results if r.failing))
     return ChainReport(
@@ -222,12 +237,15 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
     runs over the same ledger state diff cleanly.
     """
     view = ledger.load()
+    # one result per identifier for the whole sweep: a node shared by
+    # several chains is resolved, fetched and hashed once
+    checked: dict[str, NodeResult] = {}
     chains: list[dict] = []
     all_intact = True
     for output in view.terminal_outputs():
         try:
             report = verify_chain(view, output, FULL_FIXITY, resolver,
-                                  schemes)
+                                  schemes, checked=checked)
             chains.append(report.to_json())
             if report.verdict != INTACT:
                 all_intact = False
@@ -250,5 +268,5 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
     if report_path is not None:
         text = json.dumps(report_body, sort_keys=True, indent=2,
                           ensure_ascii=False) + "\n"
-        Path(report_path).write_text(text, encoding="utf-8")
+        write_atomically(report_path, text.encode("utf-8"))
     return (0 if all_intact else 1), report_body

@@ -16,6 +16,7 @@ import requests
 
 from cuflinks.errors import (IdentifierError, IntegrityError, NotFoundError,
                              RegistryError, TransferError)
+from cuflinks.fileio import write_atomically
 from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import ACTIVE, Checksum, MinidRecord, \
     parse_identifier
@@ -117,7 +118,8 @@ class RegistryClient:
 
 def resolve_to_bytes(identifier: str, resolver: Resolver,
                      schemes: SchemeRegistry,
-                     destination: Path | None = None
+                     destination: Path | None = None, *,
+                     record: MinidRecord | None = None
                      ) -> tuple[bytes | None, MinidRecord]:
     """Fetch the content behind an active identifier and verify it.
 
@@ -128,10 +130,13 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
     that. Only transfer failures fall through to the next location.
 
     Returns the content and the identifier's record. With a destination
-    the verified bytes are left on disk there and the returned content
-    is None; otherwise the bytes come back in memory.
+    the verified bytes replace the file there in one rename, and the
+    returned content is None; otherwise the bytes come back in memory.
+    A caller that has just resolved the identifier passes its record,
+    and the resolver is not asked again.
     """
-    record = resolver.resolve(identifier)
+    if record is None:
+        record = resolver.resolve(identifier)
     if record.status != ACTIVE:
         raise RegistryError(
             f"{identifier} is {record.status}"
@@ -154,7 +159,7 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
                 f"registered checksum",
                 expected=record.checksum.digest, actual=actual)
         if destination is not None:
-            Path(destination).write_bytes(content)
+            write_atomically(destination, content)
             return None, record
         return content, record
     raise TransferError(

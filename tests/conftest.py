@@ -1,4 +1,5 @@
-"""Shared fixtures: fixed clock, fixture trees, a local file server."""
+"""Shared fixtures: fixed clock, fixture trees, a local file server,
+a resolver that counts lookups."""
 
 from __future__ import annotations
 
@@ -32,6 +33,18 @@ def fig3_tree(tmp_path):
     (metadata / "annotations.txt").write_text(
         "sample: zebrafish embryo\nstage: prim-5\n", encoding="utf-8")
     return source, metadata
+
+
+class CountingResolver:
+    """Counts resolve() calls per identifier on the way to a registry."""
+
+    def __init__(self, registry):
+        self.registry = registry
+        self.calls: list[str] = []
+
+    def resolve(self, identifier):
+        self.calls.append(identifier)
+        return self.registry.resolve(identifier)
 
 
 class FileServer:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -17,7 +18,7 @@ from cuflinks.links.chain import (BROKEN, FIXITY_MATCH, FIXITY_MISMATCH,
 from cuflinks.minid import Checksum, Registry, checksum_of_file
 from cuflinks.transfer import default_registry
 
-from conftest import FIXED_INSTANT
+from conftest import FIXED_INSTANT, CountingResolver
 
 COMMIT = "d" * 40
 
@@ -390,6 +391,119 @@ def test_ci_verify(tmp_path, file_server):
     broken = [c for c in report["chains"] if c["verdict"] == BROKEN]
     assert len(broken) == 1
     assert broken[0]["failing"] == [minted["b"]]
+    registry.close()
+
+
+def shared_ancestry(tmp_path, file_server):
+    """Root a; b and c from a; d from b and c; e from a.
+
+    Returns (registry, ledger, {name: identifier}); node n's bytes are
+    served at /n.
+    """
+    registry = Registry.open(tmp_path / "registry.log")
+    minted = {}
+    for name in "abcde":
+        body = f"{name} bytes\n".encode()
+        url = file_server.add(f"/{name}", body)
+        blob = tmp_path / f"{name}.bin"
+        blob.write_bytes(body)
+        minted[name] = registry.mint("t", name, (url,),
+                                     checksum_of_file(blob)).identifier
+    ledger = Ledger(tmp_path / "chain.jsonl")
+    declare_root(ledger, minted["a"], actor="t")
+    for output, inputs in (("b", "a"), ("c", "a"), ("d", "bc"), ("e", "a")):
+        record_linkage(ledger, linkage(
+            minted[output], tuple(minted[i] for i in inputs)), registry)
+    return registry, ledger, minted
+
+
+def test_ci_verify_checks_each_node_once(tmp_path, file_server):
+    registry, ledger, minted = shared_ancestry(tmp_path, file_server)
+    resolver = CountingResolver(registry)
+    file_server.requests.clear()
+    report_path = tmp_path / "report.json"
+    status, report = ci_verify(ledger, resolver, default_registry(),
+                               report_path=report_path)
+    assert status == 0
+    assert sorted(file_server.requests) == [f"/{name}" for name in "abcde"]
+    assert sorted(resolver.calls) == sorted(minted.values())
+
+    # the same report, byte for byte, as checking each chain on its own
+    schemes = default_registry()
+    independent = {
+        "verdict": INTACT,
+        "chains": [verify_chain(ledger, output, FULL_FIXITY, registry,
+                                schemes).to_json()
+                   for output in sorted((minted["d"], minted["e"]))],
+        "ledger_diagnostics": [],
+    }
+    assert report == independent
+    assert report_path.read_bytes() == (json.dumps(
+        independent, sort_keys=True, indent=2, ensure_ascii=False)
+        + "\n").encode("utf-8")
+    registry.close()
+
+
+def test_ci_verify_shares_failures_but_not_across_sweeps(tmp_path,
+                                                         file_server):
+    registry, ledger, minted = shared_ancestry(tmp_path, file_server)
+    root = minted["a"]
+    schemes = default_registry()
+    original = file_server.content["/a"]
+
+    file_server.content["/a"] = b"swapped out from under the registry"
+    status, report = ci_verify(ledger, registry, schemes)
+    assert status == 1
+    assert len(report["chains"]) == 2
+    for chain in report["chains"]:
+        assert chain["verdict"] == BROKEN
+        assert chain["failing"] == [root]
+        node = {n["identifier"]: n for n in chain["nodes"]}[root]
+        assert node["fixity"] == FIXITY_MISMATCH
+
+    file_server.content["/a"] = original
+    status, report = ci_verify(ledger, registry, schemes)
+    assert status == 0
+    assert report["verdict"] == INTACT
+
+    registry.tombstone(root, actor="t")
+    status, report = ci_verify(ledger, registry, schemes)
+    assert status == 1
+    for chain in report["chains"]:
+        assert chain["failing"] == [root]
+        node = {n["identifier"]: n for n in chain["nodes"]}[root]
+        assert not node["resolved"]
+        assert "tombstoned" in node["detail"]
+    registry.close()
+
+
+@pytest.mark.parametrize("depth", [RESOLVE_ONLY, FULL_FIXITY])
+def test_verify_chain_resolves_each_node_once(tmp_path, file_server, depth):
+    registry, ledger, minted = shared_ancestry(tmp_path, file_server)
+    resolver = CountingResolver(registry)
+    schemes = default_registry() if depth == FULL_FIXITY else None
+    report = verify_chain(ledger, minted["d"], depth, resolver, schemes)
+    assert report.verdict == INTACT
+    assert sorted(resolver.calls) == sorted(minted[n] for n in "abcd")
+    registry.close()
+
+
+def test_ci_report_replaces_file_whole(tmp_path, file_server, monkeypatch):
+    registry, ledger, minted = shared_ancestry(tmp_path, file_server)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    report_path = reports / "report.json"
+    report_path.write_bytes(b"previous report\n")
+
+    def crash(source, destination):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        ci_verify(ledger, registry, default_registry(),
+                  report_path=report_path)
+    assert report_path.read_bytes() == b"previous report\n"
+    assert os.listdir(reports) == ["report.json"]
     registry.close()
 
 

@@ -1,18 +1,23 @@
-"""Identifier syntax, the append-only store, and registry semantics."""
+"""Identifier syntax, the append-only store, registry semantics, and
+content retrieval."""
 
+import hashlib
 import json
+import os
 import struct
 import zlib
 
 import pytest
 
-from cuflinks.errors import (CycleError, IdentifierError, LockError,
-                             NotFoundError, RegistryError)
+from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
+                             LockError, NotFoundError, RegistryError)
 from cuflinks.minid import (Checksum, EventLog, MinidRecord, Registry,
                             is_valid_identifier, new_suffix,
-                            parse_identifier, render_identifier)
+                            parse_identifier, render_identifier,
+                            resolve_to_bytes)
+from cuflinks.transfer import default_registry
 
-from conftest import FIXED_INSTANT
+from conftest import FIXED_INSTANT, CountingResolver
 
 SHA = "0" * 64
 URL = "http://127.0.0.1:1/content"
@@ -278,3 +283,75 @@ def test_records_are_immutable(registry):
     record = mint(registry)
     with pytest.raises(AttributeError):
         record.title = "renamed"
+
+
+# --- content retrieval --------------------------------------------------
+
+def mint_served(registry, file_server, path, body) -> MinidRecord:
+    return mint(registry, locations=(file_server.add(path, body),),
+                checksum=Checksum("sha256", hashlib.sha256(body).hexdigest()))
+
+
+def test_resolve_to_bytes_resolves_without_a_record(registry, file_server):
+    record = mint_served(registry, file_server, "/blob", b"blob bytes\n")
+    resolver = CountingResolver(registry)
+    content, returned = resolve_to_bytes(record.identifier, resolver,
+                                         default_registry())
+    assert content == b"blob bytes\n"
+    assert returned == record
+    assert resolver.calls == [record.identifier]
+
+
+def test_resolve_to_bytes_trusts_a_given_record(registry, file_server):
+    record = mint_served(registry, file_server, "/blob", b"blob bytes\n")
+    resolver = CountingResolver(registry)
+    content, _ = resolve_to_bytes(record.identifier, resolver,
+                                  default_registry(), record=record)
+    assert content == b"blob bytes\n"
+    assert resolver.calls == []
+
+    tombstoned = registry.tombstone(record.identifier, actor="tester")
+    file_server.requests.clear()
+    with pytest.raises(RegistryError, match="tombstoned"):
+        resolve_to_bytes(record.identifier, resolver, default_registry(),
+                         record=tombstoned)
+    assert resolver.calls == []
+    assert file_server.requests == []
+
+
+def test_download_replaces_destination_whole(registry, file_server,
+                                             tmp_path, monkeypatch):
+    record = mint_served(registry, file_server, "/blob", b"new bytes\n")
+    target = tmp_path / "out" / "blob.bin"
+    target.parent.mkdir()
+    target.write_bytes(b"old bytes\n")
+
+    def crash(source, destination):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        resolve_to_bytes(record.identifier, registry, default_registry(),
+                         destination=target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(target.parent) == ["blob.bin"]
+
+    monkeypatch.undo()
+    content, _ = resolve_to_bytes(record.identifier, registry,
+                                  default_registry(), destination=target)
+    assert content is None
+    assert target.read_bytes() == b"new bytes\n"
+    assert os.listdir(target.parent) == ["blob.bin"]
+
+
+def test_download_of_mismatched_content_creates_no_file(registry,
+                                                        file_server,
+                                                        tmp_path):
+    record = mint_served(registry, file_server, "/blob", b"registered\n")
+    file_server.content["/blob"] = b"swapped\n"
+    target = tmp_path / "out" / "blob.bin"
+    target.parent.mkdir()
+    with pytest.raises(IntegrityError):
+        resolve_to_bytes(record.identifier, registry, default_registry(),
+                         destination=target)
+    assert os.listdir(target.parent) == []
