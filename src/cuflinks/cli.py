@@ -334,7 +334,7 @@ def minid_resolve(ctx, identifier, download_to, store_path, as_json) -> None:
         record = resolver.resolve(identifier)
         if download_to is not None:
             resolve_to_bytes(identifier, resolver, _scheme_registry(resolver),
-                             destination=download_to)
+                             destination=download_to, record=record)
     if as_json:
         payload = record.to_json()
         if download_to is not None:

@@ -51,13 +51,11 @@ class EventLog:
         self._replay()
 
     def _replay(self) -> None:
-        data = b""
+        chunks: list[bytes] = []
         os.lseek(self._fd, 0, os.SEEK_SET)
-        while True:
-            chunk = os.read(self._fd, 1 << 20)
-            if not chunk:
-                break
-            data += chunk
+        while chunk := os.read(self._fd, 1 << 20):
+            chunks.append(chunk)
+        data = b"".join(chunks)
         offset = 0
         valid_end = 0
         events: list[dict] = []

@@ -13,12 +13,15 @@ spreadsheet; every change also lands in a JSON-lines changelog.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from cuflinks.errors import CycleError, FormatError
+from cuflinks.fileio import write_atomically
 
 ACTIVE = "active"
 DEPRECATED = "deprecated"
@@ -95,6 +98,20 @@ class TermDictionary:
             hops.append(current)
             current = record.superseded_by
 
+    @cached_property
+    def _near_index(self) -> dict[str, list[str]]:
+        """Each term's casefolded form, and every string made by deleting
+        one character from it, mapped to the terms that produce it.
+
+        Built on the first miss and kept with this instance only, so a
+        dictionary made by add_term or deprecate_term gets its own.
+        """
+        index: dict[str, list[str]] = {}
+        for term in self.terms:
+            for key in _deletion_neighbourhood(term.casefold()):
+                index.setdefault(key, []).append(term)
+        return index
+
     def active_terms(self) -> Iterator[tuple[str, TermRecord]]:
         for term, record in self.terms.items():
             if record.status == ACTIVE:
@@ -118,13 +135,27 @@ def validate_term(value: str, dictionary: TermDictionary) -> TermCheck:
                          canonical_id=dictionary.terms[term].canonical_id,
                          followed=hops)
     folded = value.casefold()
+    # A term within one edit of folded shares a key with it: an insertion
+    # into the term puts folded among the term's deletions, a deletion
+    # puts the term among the deletions of folded, and a substitution or
+    # an adjacent swap leaves both with one deletion in common. The
+    # filter drops the extra candidates, such as abc and bca, which
+    # share bc.
+    index = dictionary._near_index
+    candidates = {term for key in _deletion_neighbourhood(folded)
+                  for term in index.get(key, ())}
     suggestions: set[str] = set()
-    for term in dictionary.terms:
+    for term in candidates:
         candidate = term.casefold()
         if candidate == folded or _within_one_edit(folded, candidate):
             resolved, _ = dictionary._resolve(term)
             suggestions.add(resolved)
     return TermCheck(ok=False, suggestions=tuple(sorted(suggestions)))
+
+
+def _deletion_neighbourhood(text: str) -> set[str]:
+    """text and every string made by deleting one character from it."""
+    return {text} | {text[:i] + text[i + 1:] for i in range(len(text))}
 
 
 def _within_one_edit(a: str, b: str) -> bool:
@@ -201,6 +232,8 @@ def append_changelog(path: Path, entry: dict) -> None:
                       ensure_ascii=False)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 # --- TSV storage -------------------------------------------------------
@@ -220,7 +253,7 @@ def dump_dictionary(dictionary: TermDictionary) -> str:
 
 
 def save_dictionary(dictionary: TermDictionary, path: Path) -> None:
-    path.write_text(dump_dictionary(dictionary), encoding="utf-8")
+    write_atomically(path, dump_dictionary(dictionary).encode("utf-8"))
 
 
 def load_dictionary(path: Path) -> TermDictionary:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from cuflinks.cli import main
 from cuflinks.hashing import digest_file
+from cuflinks.minid import Registry
 
 from test_fetch import punch_holes
 
@@ -173,6 +174,39 @@ def test_resolve_download_verifies_content(runner, tmp_path, file_server):
                              "--download", str(target), "--json"])
     assert target.read_bytes() == body
     assert json.loads(result.output)["downloaded_to"] == str(target)
+
+
+def test_resolve_download_looks_up_once(runner, tmp_path, file_server,
+                                        monkeypatch):
+    body = b"downloadable content\n"
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(body)
+    store = tmp_path / "registry.log"
+    identifier = mint(runner, store, blob, file_server.add("/blob", body))
+    calls = []
+    resolve = Registry.resolve
+
+    def counting(self, wanted):
+        calls.append(wanted)
+        return resolve(self, wanted)
+
+    monkeypatch.setattr(Registry, "resolve", counting)
+    target = tmp_path / "saved.bin"
+    invoke(runner, ["minid", "resolve", identifier, "--store", str(store),
+                    "--download", str(target)])
+    assert target.read_bytes() == body
+    assert calls == [identifier]
+
+    with Registry.open(store) as registry:
+        registry.tombstone(identifier, actor="tester")
+    calls.clear()
+    gone = tmp_path / "gone.bin"
+    result = invoke(runner, ["minid", "resolve", identifier,
+                             "--store", str(store),
+                             "--download", str(gone)], expect=3)
+    assert f"{identifier} is tombstoned" in result.stderr
+    assert calls == [identifier]
+    assert not gone.exists()
 
 
 def test_link_workflow(runner, tmp_path, file_server):

@@ -120,6 +120,21 @@ def test_event_log_truncates_torn_tail(tmp_path):
         assert [e["op"] for e in log.events()] == ["keep", "after"]
 
 
+def test_event_log_replays_a_multi_chunk_log_with_torn_tail(tmp_path):
+    path = tmp_path / "events.log"
+    bodies = [{"op": "mint", "n": n, "pad": "x" * 1000, "seq": n + 1}
+              for n in range(3200)]
+    whole = b"".join(frame(body) for body in bodies)
+    assert len(whole) > 3 * (1 << 20)  # spans several 1 MiB reads
+    path.write_bytes(whole + frame({"op": "torn"})[:-3])
+    with EventLog(path, read_only=True) as log:
+        assert list(log.events()) == bodies
+    assert path.stat().st_size > len(whole)
+    with EventLog(path) as log:
+        assert list(log.events()) == bodies
+    assert path.read_bytes() == whole
+
+
 def test_event_log_stops_at_crc_corruption(tmp_path):
     path = tmp_path / "events.log"
     with EventLog(path) as log:

@@ -1,15 +1,16 @@
 """Term dictionary: validation, suggestions, and evolution."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuflinks.errors import CycleError, FormatError
-from cuflinks.terms import (TermDictionary, TermRecord, _within_one_edit,
-                            add_term, append_changelog, deprecate_term,
-                            dump_dictionary, load_dictionary,
+from cuflinks.terms import (TermCheck, TermDictionary, TermRecord,
+                            _within_one_edit, add_term, append_changelog,
+                            deprecate_term, dump_dictionary, load_dictionary,
                             save_dictionary, validate_term)
 
 
@@ -147,6 +148,17 @@ def test_deprecate_rejecting_cycle_leaves_dictionary_usable():
     assert validate_term("complete", two).ok
 
 
+def test_new_dictionary_suggests_new_terms_and_old_stays(tmp_path):
+    old = status_dictionary()
+    assert validate_term("faild", old).suggestions == ()  # index built
+    added, _ = add_term(old, "failed", "status:failed", actor="c")
+    assert validate_term("faild", added).suggestions == ("failed",)
+    moved, _ = deprecate_term(added, "failed", "complete", actor="c")
+    assert validate_term("faild", moved).suggestions == ("complete",)
+    assert validate_term("faild", added).suggestions == ("failed",)
+    assert validate_term("faild", old).suggestions == ()
+
+
 def test_changelog_appends_json_lines(tmp_path):
     log = tmp_path / "changes.jsonl"
     _, entry = add_term(status_dictionary(), "failed", "status:failed",
@@ -172,6 +184,23 @@ def test_tsv_round_trip(tmp_path):
     assert text.startswith(
         "term\tcanonical_id\tstatus\tsuperseded_by\tdefinition\n")
     assert load_dictionary(path).terms == dictionary.terms
+
+
+def test_save_leaves_old_file_when_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "terms.tsv"
+    save_dictionary(status_dictionary(), path)
+    before = path.read_bytes()
+    updated, _ = add_term(status_dictionary(), "failed", "status:failed",
+                          actor="curator")
+
+    def crash(source, destination):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_dictionary(updated, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["terms.tsv"]
 
 
 def test_tsv_rejects_malformed(tmp_path):
@@ -223,3 +252,53 @@ _SHORT = st.text(st.sampled_from("abc-"), max_size=6)
 @given(_SHORT, _SHORT)
 def test_within_one_edit_matches_oracle(a, b):
     assert _within_one_edit(a, b) == (oracle_osa(a, b) <= 1)
+
+
+# casefold() changes the length of \u00df, \u1e9e and \u0130, and folds the
+# Kelvin sign \u212a to k, so the index must work on folded forms
+_FOLDING_CHAR = st.sampled_from("aAkKs\u00df\u1e9e\u0130i\u212a")
+_FOLDING = st.text(_FOLDING_CHAR, max_size=5)
+
+
+@st.composite
+def dictionaries(draw):
+    """Distinct terms, each active or a deprecated alias of an earlier
+    one, so every chain ends at the first term or another active one."""
+    names = draw(st.lists(_FOLDING, min_size=1, max_size=12, unique=True))
+    terms = {}
+    for number, name in enumerate(names):
+        if number and draw(st.booleans()):
+            terms[name] = TermRecord(
+                canonical_id=f"x:{number}", status="deprecated",
+                superseded_by=names[draw(st.integers(0, number - 1))])
+        else:
+            terms[name] = TermRecord(canonical_id=f"x:{number}")
+    return TermDictionary(terms=terms)
+
+
+def scan_suggestions(value: str, dictionary: TermDictionary) -> tuple:
+    folded = value.casefold()
+    return tuple(sorted(
+        {dictionary._resolve(term)[0] for term in dictionary.terms
+         if _within_one_edit(folded, term.casefold())}))
+
+
+@settings(max_examples=300)
+@given(dictionaries(), st.lists(_FOLDING, max_size=8), st.data())
+def test_indexed_suggestions_match_full_scan(dictionary, values, data):
+    values, names = list(values), sorted(dictionary.terms)
+    for name in data.draw(st.lists(st.sampled_from(names), max_size=4)):
+        where = data.draw(st.integers(0, len(name)))
+        extra = data.draw(_FOLDING_CHAR)
+        values += [name[:where] + extra + name[where:],
+                   name[:where] + name[where + 1:],
+                   name[:where] + extra + name[where + 1:],
+                   name[:where] + name[where + 1:where + 2]
+                   + name[where:where + 1] + name[where + 2:]]
+    for value in values:
+        check = validate_term(value, dictionary)
+        if value in dictionary.terms:
+            assert check.ok
+        else:
+            assert check == TermCheck(
+                ok=False, suggestions=scan_suggestions(value, dictionary))
