@@ -445,8 +445,8 @@ def link_record(ctx, output_id, input_ids, commit_ref, method_artifact,
     ledger = Ledger(Path(config.ledger))
     with ExitStack() as stack:
         resolver = _open_resolver(config, stack)
-        record_linkage(ledger, record, resolver)
-        report = verify_chain(ledger, output_id, FULL_FIXITY, resolver,
+        view = record_linkage(ledger, record, resolver)
+        report = verify_chain(view, output_id, FULL_FIXITY, resolver,
                               _scheme_registry(resolver))
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
@@ -507,7 +507,8 @@ def link_verify(ctx, identifier, full, ledger_path, store_path,
 @click.pass_context
 @_mapped
 def link_ci(ctx, ledger_path, store_path, report_path, as_json) -> None:
-    """Verify every terminal output's chain at full fixity."""
+    """Verify at full fixity every terminal output's chain, and the
+    chain of any output that none of them reach."""
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
     with ExitStack() as stack:

@@ -233,8 +233,10 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
               report_path: Path | None = None) -> tuple[int, dict]:
     """Full-fixity verification of every terminal output in the ledger.
 
-    Returns (exit status, report). The report is stable-sorted so two
-    runs over the same ledger state diff cleanly.
+    Then every linkage output that no earlier chain reached starts a
+    chain of its own, so a cycle that no terminal output reaches is
+    still reported. Returns (exit status, report). The report is
+    stable-sorted so two runs over the same ledger state diff cleanly.
     """
     view = ledger.load()
     # one result per identifier for the whole sweep: a node shared by
@@ -242,7 +244,17 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
     checked: dict[str, NodeResult] = {}
     chains: list[dict] = []
     all_intact = True
-    for output in view.terminal_outputs():
+    reached: set[str] = set()
+    for output in view.terminal_outputs() + tuple(sorted(view.linkages)):
+        if output in reached:
+            continue
+        pending = [output]
+        while pending:
+            node = pending.pop()
+            if node not in reached:
+                reached.add(node)
+                if node in view.linkages:
+                    pending.extend(view.linkages[node].inputs)
         try:
             report = verify_chain(view, output, FULL_FIXITY, resolver,
                                   schemes, checked=checked)

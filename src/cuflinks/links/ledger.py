@@ -14,7 +14,7 @@ import fcntl
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -23,7 +23,13 @@ from cuflinks.errors import (CuflinksError, IdentifierError, LedgerError,
                              NotFoundError)
 from cuflinks.links.records import LinkageRecord, RootRecord
 
-GENESIS_DIGEST = hashlib.sha256(b"").hexdigest()
+
+def _digest(line: bytes) -> str:
+    """The prev that the line after this one must carry."""
+    return hashlib.sha256(line).hexdigest()
+
+
+GENESIS_DIGEST = _digest(b"")
 
 
 def _canonical_line(body: dict) -> bytes:
@@ -38,6 +44,8 @@ class LedgerView:
     linkages: dict[str, LinkageRecord]      # output identifier -> record
     roots: frozenset[str]
     diagnostics: tuple[str, ...] = ()
+    tail: str = GENESIS_DIGEST      # the prev the next line must carry
+    torn: bool = False              # the file ends inside a line
 
     def terminal_outputs(self) -> tuple[str, ...]:
         used_as_input: set[str] = set()
@@ -58,26 +66,25 @@ class Ledger:
         linkages: dict[str, LinkageRecord] = {}
         roots: set[str] = set()
         diagnostics: list[str] = []
-        expected_prev = GENESIS_DIGEST
+        tail = GENESIS_DIGEST
         if not self.path.exists():
             return LedgerView(linkages={}, roots=frozenset())
         raw = self.path.read_bytes()
         for number, line in enumerate(raw.split(b"\n"), start=1):
             if not line:
                 continue
+            prev, tail = tail, _digest(line)
             try:
                 body = json.loads(line.decode("utf-8"))
                 if not isinstance(body, dict):
                     raise ValueError("not a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:
                 diagnostics.append(f"line {number}: unreadable ({exc})")
-                expected_prev = hashlib.sha256(line).hexdigest()
                 continue
-            if body.get("prev") != expected_prev:
+            if body.get("prev") != prev:
                 diagnostics.append(
                     f"line {number}: hash chain broken (expected prev "
-                    f"{expected_prev}, found {body.get('prev')!r})")
-            expected_prev = hashlib.sha256(line).hexdigest()
+                    f"{prev}, found {body.get('prev')!r})")
             kind = body.get("kind")
             try:
                 if kind == "linkage":
@@ -97,30 +104,40 @@ class Ledger:
                 diagnostics.append(f"line {number}: malformed {kind!r} "
                                    f"record ({exc})")
         return LedgerView(linkages=linkages, roots=frozenset(roots),
-                          diagnostics=tuple(diagnostics))
+                          diagnostics=tuple(diagnostics), tail=tail,
+                          torn=bool(raw) and not raw.endswith(b"\n"))
 
-    def _append_line(self, body: dict) -> None:
-        """Append one record under the ledger's exclusive lock."""
+    def append(self, record: LinkageRecord | RootRecord) -> LedgerView:
+        """Append one record under the ledger's exclusive lock.
+
+        An identifier is claimed once, as an output or as a root: a
+        record whose identifier is already claimed is refused. Returns
+        the view with the record added.
+        """
+        linkage = isinstance(record, LinkageRecord)
+        identifier = record.output if linkage else record.identifier
         lock_path = self.path.with_name(self.path.name + ".lock")
         with open(lock_path, "a+b") as lock_handle:
             fcntl.flock(lock_handle, fcntl.LOCK_EX)
-            prev = GENESIS_DIGEST
-            # a torn last line (a crashed writer's partial record) gets
-            # its own line back, so the new record is not merged into it
-            separator = b""
-            if self.path.exists():
-                raw = self.path.read_bytes()
-                lines = [l for l in raw.split(b"\n") if l]
-                if lines:
-                    prev = hashlib.sha256(lines[-1]).hexdigest()
-                if raw and not raw.endswith(b"\n"):
-                    separator = b"\n"
-            payload = dict(body)
-            payload["prev"] = prev
+            view = self.load()
+            if identifier in view.linkages or identifier in view.roots:
+                claim = ("the output of a linkage record"
+                         if identifier in view.linkages else "a declared root")
+                raise LedgerError(f"{identifier} is already {claim}; an "
+                                  f"identifier is claimed once")
+            line = _canonical_line({**record.to_json(), "prev": view.tail})
             with open(self.path, "ab") as handle:
-                handle.write(separator + _canonical_line(payload) + b"\n")
+                # a torn last line (a crashed writer's partial record)
+                # gets its own line back, so the new record is not
+                # merged into it
+                handle.write(b"\n" * view.torn + line + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
+        added = replace(view, tail=_digest(line), torn=False)
+        if linkage:
+            return replace(added, linkages={**view.linkages,
+                                            identifier: record})
+        return replace(added, roots=view.roots | {identifier})
 
 
 def now_utc() -> str:
@@ -133,38 +150,20 @@ def record_linkage(ledger: Ledger, record: LinkageRecord,
     """Append one linkage record after checking it can be honored.
 
     The output must resolve against the registry, and no earlier record
-    may claim the same output.
+    may claim the same identifier. The output is resolved before the
+    ledger is locked, so no registry call runs under the lock.
     """
-    view = ledger.load()
-    if record.output in view.linkages:
-        raise LedgerError(
-            f"{record.output} already has a linkage record; outputs get "
-            f"exactly one")
-    if record.output in view.roots:
-        raise LedgerError(
-            f"{record.output} is declared a root input; it cannot also "
-            f"be a produced output")
     try:
         resolver.resolve(record.output)
     except (NotFoundError, IdentifierError) as exc:
         raise LedgerError(
             f"output {record.output} does not resolve: {exc}") from exc
-    ledger._append_line(record.to_json())
-    return ledger.load()
+    return ledger.append(record)
 
 
 def declare_root(ledger: Ledger, identifier: str, *, actor: str,
                  clock: Callable[[], str] = now_utc,
                  notes: str | None = None) -> LedgerView:
     """Mark an identifier as a genuinely external input."""
-    record = RootRecord(identifier=identifier, actor=actor,
-                        declared_at=clock(), notes=notes)
-    view = ledger.load()
-    if identifier in view.roots:
-        raise LedgerError(f"{identifier} is already declared a root")
-    if identifier in view.linkages:
-        raise LedgerError(
-            f"{identifier} is produced by a linkage record; it is not "
-            f"an external root")
-    ledger._append_line(record.to_json())
-    return ledger.load()
+    return ledger.append(RootRecord(identifier=identifier, actor=actor,
+                                    declared_at=clock(), notes=notes))

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cuflinks import cli
 from cuflinks.cli import main
 from cuflinks.hashing import digest_file
+from cuflinks.links import Ledger
 from cuflinks.minid import Registry
 
 from test_fetch import punch_holes
@@ -258,6 +260,56 @@ def test_link_workflow(runner, tmp_path, file_server):
     assert f"failing: {minted['a']}" in result.output
     invoke(runner, ["link", "ci", "--ledger", str(ledger),
                     "--store", str(store)], expect=1)
+
+
+def test_link_commands_read_the_ledger_once(runner, tmp_path, file_server,
+                                            monkeypatch):
+    store = tmp_path / "registry.log"
+    ledger = tmp_path / "chain.jsonl"
+    minted = {}
+    for name in ("a", "b", "c"):
+        blob = tmp_path / f"{name}.bin"
+        blob.write_bytes(f"{name} stage content\n".encode())
+        url = file_server.add(f"/{name}", blob.read_bytes())
+        minted[name] = mint(runner, store, blob, url, title=name)
+    invoke(runner, ["link", "root", minted["a"], "--actor", "t",
+                    "--ledger", str(ledger)])
+    with open(ledger, "ab") as handle:     # a crashed writer's torn line
+        handle.write(b'{"kind":"root"')
+
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        if path == ledger:
+            reads.append(path)
+        return read_bytes(path)
+
+    views = []
+
+    def keeping_view(append):
+        def kept(*args, **kwargs):
+            views.append(append(*args, **kwargs))
+            return views[-1]
+        return kept
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(cli, "declare_root", keeping_view(cli.declare_root))
+    monkeypatch.setattr(cli, "record_linkage",
+                        keeping_view(cli.record_linkage))
+    commands = (
+        ["link", "root", minted["b"], "--actor", "t",
+         "--ledger", str(ledger)],
+        ["link", "record", "--output", minted["c"],
+         "--input", minted["a"], "--input", minted["b"],
+         "--commit", f"https://example.org/pipeline.git@{COMMIT}",
+         "--actor", "t", "--ledger", str(ledger), "--store", str(store)])
+    for command in commands:
+        reads.clear()
+        invoke(runner, command)
+        assert len(reads) == 1, command
+        assert views[-1] == Ledger(ledger).load()
+    assert len(views) == 2
 
 
 def test_link_record_rejects_unresolvable_output(runner, tmp_path):

@@ -394,6 +394,27 @@ def test_ci_verify(tmp_path, file_server):
     registry.close()
 
 
+def test_ci_verify_reports_a_cycle_no_terminal_reaches(tmp_path):
+    a, b, c, d = ids(4)
+    ledger = Ledger(tmp_path / "chain.jsonl")
+    resolver = FakeResolver(known=(a, b, c, d))
+    declare_root(ledger, a, actor="t")
+    record_linkage(ledger, linkage(b, (a, c)), resolver)
+    record_linkage(ledger, linkage(c, (b,)), resolver)
+    assert ledger.load().terminal_outputs() == ()
+
+    def chains():
+        status, report = ci_verify(ledger, resolver, default_registry())
+        assert (status, report["verdict"]) == (1, BROKEN)
+        return [(chain["start"], chain["verdict"], chain["failing"])
+                for chain in report["chains"]]
+
+    assert chains() == [(b, BROKEN, [b, c])]
+    # once a terminal output reaches the cycle, only its chain reports it
+    record_linkage(ledger, linkage(d, (b,)), resolver)
+    assert chains() == [(d, BROKEN, [b, c])]
+
+
 def shared_ancestry(tmp_path, file_server):
     """Root a; b and c from a; d from b and c; e from a.
 
