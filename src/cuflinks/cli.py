@@ -243,10 +243,12 @@ def bag_resolve_fetch(ctx, bag_dir, paths, parallelism, as_json) -> None:
 @click.option("-o", "--output", type=click.Path(path_type=Path),
               default=None, help="Archive path (default: sibling .zip).")
 @click.option("--json", "as_json", is_flag=True)
+@click.pass_context
 @_mapped
-def bag_archive(bag_dir, output, as_json) -> None:
+def bag_archive(ctx, bag_dir, output, as_json) -> None:
     """Pack a valid bag into a single zip archive."""
-    archive_path = serialize(bag_dir, output)
+    archive_path = serialize(bag_dir, output,
+                             parallelism=_settings(ctx).parallelism)
     if as_json:
         _emit_json({"archive": str(archive_path)})
     else:

@@ -1,9 +1,10 @@
-"""Crash-safe replacement of a whole file."""
+"""Crash-safe creation and replacement of whole files."""
 
 from __future__ import annotations
 
 import os
 import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -15,15 +16,38 @@ def write_atomically(path: Path, data: bytes) -> None:
     or the new one, never a truncated one. The directory is fsynced
     last so that the rename itself is durable.
     """
+    with _staged(path, os.replace) as handle:
+        handle.write(data)
+
+
+def create_exclusively(path: Path):
+    """A binary handle whose bytes appear at path only once complete.
+
+    Used as a context manager. The bytes go to a temporary file beside
+    path and are fsynced; on a clean exit the file is hard-linked into
+    place, which raises FileExistsError if path exists by then, so two
+    writers never share or overwrite one file. A crash or an error
+    leaves no file at path, at most a hidden temporary file beside it.
+    """
+    return _staged(path, _link_new)
+
+
+def _link_new(temp: Path, path: Path) -> None:
+    os.link(temp, path)
+    os.unlink(temp)
+
+
+@contextmanager
+def _staged(path: Path, publish):
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temp, path)
+        publish(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

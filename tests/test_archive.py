@@ -1,11 +1,25 @@
 """Single-file serialization of bags and safe extraction."""
 
+import os
+import random
+import shutil
+import signal
+import struct
+import subprocess
+import sys
+import tempfile
+import threading
 import zipfile
+import zlib
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+import cuflinks
+from cuflinks.bag import archive as archive_module
 from cuflinks.bag import create_bag, extract, serialize, write_bag
+from cuflinks.cli import main
 from cuflinks.errors import FormatError, ValidationError
 
 from test_bag import tree_files
@@ -88,3 +102,232 @@ def test_extract_refuses_occupied_destination(bag_dir, tmp_path):
     (parent / "demo" / "stale").write_text("old")
     with pytest.raises(FileExistsError):
         extract(archive, parent)
+
+
+def zipfile_reference(bag_dir: Path, destination: Path) -> Path:
+    """The archive as zipfile writes it, member by member, in the order
+    and with the settings serialize has always used."""
+    root = bag_dir.name
+    paths = [path for path in sorted(bag_dir.rglob("*"))
+             if not path.relative_to(bag_dir).parts[0].startswith(".")]
+    with zipfile.ZipFile(destination, "w", zipfile.ZIP_DEFLATED) as handle:
+        for path in paths:
+            if path.is_dir():
+                rel = path.relative_to(bag_dir).as_posix()
+                handle.writestr(zipfile.ZipInfo(
+                    f"{root}/{rel}/", date_time=(1980, 1, 1, 0, 0, 0)), b"")
+        for path in paths:
+            if path.is_file():
+                info = zipfile.ZipInfo(
+                    f"{root}/{path.relative_to(bag_dir).as_posix()}",
+                    date_time=(1980, 1, 1, 0, 0, 0))
+                info.compress_type = zipfile.ZIP_DEFLATED
+                with open(path, "rb") as source, \
+                        handle.open(info, "w") as member:
+                    shutil.copyfileobj(source, member)
+    return destination
+
+
+@pytest.fixture
+def varied_bag(fixed_clock, tmp_path):
+    """Nested directories, an empty file, a non-ASCII name, a member
+    that outgrows the in-memory spool, and many more members than
+    workers."""
+    rng = random.Random(7)
+    source = tmp_path / "varied"
+    (source / "a" / "b" / "c").mkdir(parents=True)
+    (source / "empty.txt").write_bytes(b"")
+    (source / "r\u00e9sum\u00e9-\u540d.txt").write_text("caf\u00e9\n",
+                                                  encoding="utf-8")
+    (source / "a" / "b" / "c" / "big.bin").write_bytes(
+        rng.randbytes(3 * archive_module._SPOOL_CAP)
+        + b"row,value\n" * 50_000)
+    for index in range(12):
+        (source / "a" / f"part-{index:02d}.csv").write_text(
+            "".join(f"{index},{rng.random()}\n" for _ in range(500)))
+    bag = create_bag(source, algorithms=("sha256",), root_name="varied",
+                     clock=fixed_clock)
+    return write_bag(bag, tmp_path / "bags")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_archive_bytes_match_zipfile(varied_bag, tmp_path, parallelism):
+    reference = zipfile_reference(varied_bag, tmp_path / "reference.zip")
+    written = serialize(varied_bag, tmp_path / f"p{parallelism}.zip",
+                        parallelism=parallelism)
+    assert written.read_bytes() == reference.read_bytes()
+    with zipfile.ZipFile(written) as handle:
+        assert handle.testzip() is None
+        assert len(handle.namelist()) > 4 * parallelism
+
+
+def test_at_most_parallelism_spools_open(tmp_path, fixed_clock, monkeypatch):
+    source = tmp_path / "many"
+    source.mkdir()
+    for index in range(200):
+        (source / f"f{index:03d}").write_text(f"member {index}\n")
+    bag_dir = write_bag(create_bag(source, root_name="many",
+                                   clock=fixed_clock), tmp_path / "bags")
+    lock, state = threading.Lock(), {"open": 0, "peak": 0}
+
+    class CountedSpool(tempfile.SpooledTemporaryFile):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with lock:
+                state["open"] += 1
+                state["peak"] = max(state["peak"], state["open"])
+
+        def close(self):
+            if not self.closed:
+                with lock:
+                    state["open"] -= 1
+            super().close()
+
+        def __exit__(self, *exc_info):
+            self.close()
+
+    monkeypatch.setattr(tempfile, "SpooledTemporaryFile", CountedSpool)
+    serialize(bag_dir, tmp_path / "many.zip", parallelism=2)
+    assert state["open"] == 0
+    assert 1 <= state["peak"] <= 2
+
+
+def test_zip64_records_read_back(tmp_path):
+    """A 3 GiB member at a 5 GiB offset, around a sparse hole: its sizes
+    and offset need ZIP64 fields, and so does the central directory."""
+    small = archive_module._Member("big/bagit.txt", crc=zlib.crc32(b"abc"),
+                                   file_size=3, compress_size=3)
+    large = archive_module._Member("big/data/huge.bin", method=8,
+                                   crc=0x5678, file_size=3 << 30,
+                                   compress_size=(3 << 30) + 5,
+                                   offset=5 << 30)
+    path = tmp_path / "big.zip"
+    with open(path, "wb") as handle:
+        handle.write(archive_module._local_header(small) + b"abc")
+        handle.seek(large.offset)
+        handle.write(archive_module._local_header(large))
+        handle.seek(large.compress_size, os.SEEK_CUR)
+        handle.write(archive_module._central_directory([small, large],
+                                                       handle.tell()))
+    with zipfile.ZipFile(path) as handle:
+        first, second = handle.infolist()
+        assert handle.read(first) == b"abc"
+        with handle.open(second):  # the local header parses in place
+            pass
+    with open(path, "rb") as handle:
+        handle.seek(large.offset)
+        local = handle.read(30 + len(large.name) + 20)
+    assert struct.unpack("<4s2B4HL2L2H", local[:30])[8:] == (
+        0xFFFFFFFF, 0xFFFFFFFF, len(large.name), 20)
+    assert struct.unpack("<HHQQ", local[-20:]) == (
+        1, 16, 3 << 30, (3 << 30) + 5)
+    assert (first.header_offset, first.file_size, first.extract_version) \
+        == (0, 3, 20)
+    assert (second.filename, second.header_offset, second.file_size,
+            second.compress_size, second.CRC, second.extract_version) == (
+        "big/data/huge.bin", 5 << 30, 3 << 30, (3 << 30) + 5, 0x5678, 45)
+
+
+def test_killed_archiver_leaves_no_archive(varied_bag, tmp_path):
+    script = tmp_path / "stalled_archiver.py"
+    script.write_text(
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from cuflinks.bag import archive\n"
+        "real = archive._deflate\n"
+        "def stall(path, spool_dir):\n"
+        "    if path.name.startswith('tagmanifest'):\n"
+        "        print('stalled', flush=True)\n"
+        "        time.sleep(60)\n"
+        "    return real(path, spool_dir)\n"
+        "archive._deflate = stall\n"
+        "archive.serialize(Path(sys.argv[1]), Path(sys.argv[2]))\n",
+        encoding="utf-8")
+    target = tmp_path / "out" / "varied.zip"
+    target.parent.mkdir()
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cuflinks.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, str(script), str(varied_bag), str(target)],
+        stdout=subprocess.PIPE, text=True, env=env)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    try:
+        assert child.stdout.readline().strip() == "stalled"
+        [partial] = target.parent.iterdir()
+        assert partial.name.startswith(".varied.zip.")
+        assert partial.stat().st_size > 0  # earlier members are written
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert not target.exists()
+    serialize(varied_bag, target)
+    assert target.read_bytes() == zipfile_reference(
+        varied_bag, tmp_path / "reference.zip").read_bytes()
+
+
+def test_concurrent_archivers_one_succeeds(bag_dir, tmp_path, monkeypatch):
+    target = tmp_path / "out" / "demo.zip"
+    target.parent.mkdir()
+    barrier = threading.Barrier(2)
+    real = archive_module._write_zip
+
+    def together(*args):
+        barrier.wait(timeout=30)  # both are past the existence check
+        real(*args)
+
+    monkeypatch.setattr(archive_module, "_write_zip", together)
+    outcomes = []
+
+    def run():
+        try:
+            serialize(bag_dir, target)
+            outcomes.append("ok")
+        except FileExistsError:
+            outcomes.append("exists")
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert sorted(outcomes) == ["exists", "ok"]
+    assert [p.name for p in target.parent.iterdir()] == ["demo.zip"]
+    with zipfile.ZipFile(target) as handle:
+        assert handle.testzip() is None
+
+
+def _flip_member_byte(archive: Path, name: str) -> None:
+    with zipfile.ZipFile(archive) as handle:
+        info = handle.getinfo(name)
+    data = bytearray(archive.read_bytes())
+    start = info.header_offset + 30 + len(info.filename.encode()) \
+        + len(info.extra)
+    data[start + info.compress_size // 2] ^= 0x40
+    archive.write_bytes(bytes(data))
+
+
+def test_extract_refuses_damaged_member(varied_bag, tmp_path):
+    archive = serialize(varied_bag, tmp_path / "varied.zip")
+    _flip_member_byte(archive, "varied/data/a/b/c/big.bin")
+    parent = tmp_path / "out"
+    with pytest.raises(FormatError, match="damaged archive"):
+        extract(archive, parent)
+    assert list(parent.iterdir()) == []  # no payload byte was placed
+
+    result = CliRunner().invoke(main, ["bag", "extract", str(archive),
+                                       str(tmp_path / "cli")])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: damaged archive")
+
+
+def test_extract_refuses_non_zip(tmp_path):
+    bogus = tmp_path / "bogus.zip"
+    bogus.write_bytes(b"not a zip archive\n" * 10)
+    with pytest.raises(FormatError, match="damaged archive"):
+        extract(bogus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
