@@ -29,6 +29,7 @@ from cuflinks.errors import (ConfigError, CuflinksError, CycleError,
                              NotInLedgerError, RegistryError, SchemeError,
                              StoreError, TransferError, ValidationError)
 from cuflinks.fetch import DIGEST_MISMATCH, LENGTH_MISMATCH, materialize
+from cuflinks.fileio import locked
 from cuflinks.links import (EnvironmentRef, Ledger, LinkageRecord, MethodRef,
                             capture_environment, ci_verify, declare_root,
                             record_linkage, verify_chain)
@@ -644,12 +645,13 @@ def dict_add(ctx, term, canonical_id, definition, actor, dict_path,
     A missing dictionary file is started fresh.
     """
     path = _dictionary_path(ctx, dict_path)
-    dictionary = (load_dictionary(path) if path.exists()
-                  else TermDictionary(terms={}))
-    updated, entry = add_term(dictionary, term, canonical_id, definition,
-                              actor=actor)
-    save_dictionary(updated, path)
-    append_changelog(changelog_path or _default_changelog(path), entry)
+    with locked(path):
+        dictionary = (load_dictionary(path) if path.exists()
+                      else TermDictionary(terms={}))
+        updated, entry = add_term(dictionary, term, canonical_id, definition,
+                                  actor=actor)
+        save_dictionary(updated, path)
+        append_changelog(changelog_path or _default_changelog(path), entry)
     if as_json:
         _emit_json(entry)
     else:
@@ -672,11 +674,12 @@ def dict_deprecate(ctx, term, superseded_by, actor, dict_path,
                    changelog_path, as_json) -> None:
     """Retire TERM in favor of another term."""
     path = _dictionary_path(ctx, dict_path)
-    dictionary = load_dictionary(path)
-    updated, entry = deprecate_term(dictionary, term, superseded_by,
-                                    actor=actor)
-    save_dictionary(updated, path)
-    append_changelog(changelog_path or _default_changelog(path), entry)
+    with locked(path):
+        dictionary = load_dictionary(path)
+        updated, entry = deprecate_term(dictionary, term, superseded_by,
+                                        actor=actor)
+        save_dictionary(updated, path)
+        append_changelog(changelog_path or _default_changelog(path), entry)
     if as_json:
         _emit_json(entry)
     else:

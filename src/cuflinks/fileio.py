@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import os
 import secrets
 from contextlib import contextmanager
@@ -30,6 +31,21 @@ def create_exclusively(path: Path):
     leaves no file at path, at most a hidden temporary file beside it.
     """
     return _staged(path, _link_new)
+
+
+@contextmanager
+def locked(path: Path):
+    """Hold an exclusive lock on ``<path>.lock`` for the with block.
+
+    Writers that load, change and rewrite path take it first, so that
+    one writer's change is never lost under another's. The lock is
+    ``flock`` on a file opened afresh, so it excludes other threads as
+    well as other processes, and the kernel drops it if its holder dies.
+    """
+    path = Path(path)
+    with open(path.with_name(path.name + ".lock"), "a+b") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
 
 
 def _link_new(temp: Path, path: Path) -> None:

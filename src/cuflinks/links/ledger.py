@@ -10,7 +10,6 @@ verification report carries the damage.
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
@@ -21,6 +20,7 @@ from typing import Callable
 
 from cuflinks.errors import (CuflinksError, IdentifierError, LedgerError,
                              NotFoundError)
+from cuflinks.fileio import locked
 from cuflinks.links.records import LinkageRecord, RootRecord
 
 
@@ -116,9 +116,7 @@ class Ledger:
         """
         linkage = isinstance(record, LinkageRecord)
         identifier = record.output if linkage else record.identifier
-        lock_path = self.path.with_name(self.path.name + ".lock")
-        with open(lock_path, "a+b") as lock_handle:
-            fcntl.flock(lock_handle, fcntl.LOCK_EX)
+        with locked(self.path):
             view = self.load()
             if identifier in view.linkages or identifier in view.roots:
                 claim = ("the output of a linkage record"

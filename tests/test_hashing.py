@@ -5,10 +5,16 @@ md5sum/sha256sum/sha512sum) before this package existed; they pin the
 hashing layer to the outside world.
 """
 
-from pathlib import Path
+import errno
+import hashlib
+import io
+import itertools
+import random
+import threading
 
 import pytest
 
+from cuflinks import hashing
 from cuflinks.hashing import (DEFAULT_ALGORITHM, HEX_DIGEST_LENGTHS,
                               SUPPORTED_ALGORITHMS, check_algorithm,
                               digest_bytes, digest_file, is_hex_digest,
@@ -73,3 +79,94 @@ def test_is_hex_digest():
     assert not is_hex_digest(EMPTY["sha256"].upper(), "sha256")
     assert not is_hex_digest(EMPTY["md5"], "sha256")
     assert not is_hex_digest("zz" * 32, "sha256")
+
+
+CHUNK = hashing._CHUNK_SIZE
+
+
+def orderings():
+    """Every non-empty subset of the algorithms in every order, and each
+    of those again with its first name repeated in another spelling."""
+    for size in range(1, len(SUPPORTED_ALGORITHMS) + 1):
+        for names in itertools.permutations(SUPPORTED_ALGORITHMS, size):
+            yield names
+            yield names + (names[0].upper(),)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  3 * CHUNK + 7])
+def test_multi_digest_file_matches_hashlib(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "sample.bin"
+    path.write_bytes(data)
+    for names in orderings():
+        expected = {name: hashlib.new(name, data).hexdigest()
+                    for name in dict.fromkeys(n.lower() for n in names)}
+        digests = multi_digest_file(path, names)
+        assert list(digests.items()) == list(expected.items()), names
+        assert multi_digest_bytes(data, names) == expected
+
+
+def test_read_error_reaches_caller_and_stops_threads(tmp_path, monkeypatch):
+    path = tmp_path / "sample.bin"
+    path.write_bytes(bytes(4 * CHUNK))
+
+    class FailingFile(io.FileIO):
+        reads = 0
+
+        def read(self, size=-1):
+            self.reads += 1
+            if self.reads == 3:
+                raise OSError(errno.EIO, "injected read error")
+            return super().read(size)
+
+    monkeypatch.setattr(hashing, "open", lambda p, mode: FailingFile(p, mode),
+                        raising=False)
+    before = threading.active_count()
+    outcome = []
+
+    def call():
+        try:
+            multi_digest_file(path, SUPPORTED_ALGORITHMS)
+        except OSError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert [exc.errno for exc in outcome] == [errno.EIO]
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
+
+
+@pytest.mark.parametrize("size, algorithms, cores, threads", [
+    (3 * CHUNK, ("sha256",), 2, 0),
+    (CHUNK, SUPPORTED_ALGORITHMS, 2, 0),
+    (3 * CHUNK, SUPPORTED_ALGORITHMS, 1, 0),
+    (3 * CHUNK, SUPPORTED_ALGORITHMS, None, 0),
+    (CHUNK + 1, ("md5", "sha256"), 2, 1),
+    (CHUNK + 1, SUPPORTED_ALGORITHMS, 2, 2),
+])
+def test_threads_only_for_extra_algorithms_over_chunks(
+        tmp_path, monkeypatch, started_threads, size, algorithms, cores,
+        threads):
+    path = tmp_path / "sample.bin"
+    path.write_bytes(bytes(size))
+    monkeypatch.setattr(hashing.os, "cpu_count", lambda: cores)
+    digests = multi_digest_file(path, algorithms)
+    assert digests == multi_digest_bytes(bytes(size), algorithms)
+    assert len(started_threads) == threads

@@ -2,11 +2,18 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuflinks
+from cuflinks.cli import main
 from cuflinks.errors import CycleError, FormatError
 from cuflinks.terms import (TermCheck, TermDictionary, TermRecord,
                             _within_one_edit, add_term, append_changelog,
@@ -302,3 +309,100 @@ def test_indexed_suggestions_match_full_scan(dictionary, values, data):
         else:
             assert check == TermCheck(
                 ok=False, suggestions=scan_suggestions(value, dictionary))
+
+
+# --- concurrent and killed writers -------------------------------------
+
+def changelog_terms(path: Path) -> list[str]:
+    return [json.loads(line)["term"]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+ADDERS = 8
+
+
+def test_concurrent_adders_lose_no_term(tmp_path):
+    dictionary = tmp_path / "terms.tsv"
+    barrier = threading.Barrier(ADDERS)
+    acknowledged = []
+
+    def adder(index):
+        barrier.wait(timeout=10)
+        main(["dict", "add", f"term{index}", f"X:{index}", "--actor", "t",
+              "--dict", str(dictionary)], standalone_mode=False)
+        acknowledged.append(f"term{index}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=adder, args=(index,))
+                   for index in range(ADDERS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(acknowledged) == ADDERS
+    assert set(load_dictionary(dictionary).terms) == set(acknowledged)
+    changelog = tmp_path / "terms.tsv.changelog.jsonl"
+    assert sorted(changelog_terms(changelog)) == sorted(acknowledged)
+
+
+CRASH_ADDER = """\
+import sys
+from cuflinks.cli import main
+
+index = 0
+while True:
+    main(["dict", "add", f"term{index:06d}", f"X:{index}", "--actor",
+          "crash-test", "--dict", sys.argv[1]], standalone_mode=False)
+    index += 1
+"""
+
+ACKNOWLEDGED = 30
+
+
+def test_killed_adder_loses_no_acknowledged_term(tmp_path):
+    dictionary = tmp_path / "terms.tsv"
+    changelog = tmp_path / "terms.tsv.changelog.jsonl"
+    script = tmp_path / "crash_adder.py"
+    script.write_text(CRASH_ADDER, encoding="utf-8")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cuflinks.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, str(script), str(dictionary)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    acknowledged = []
+    try:
+        while len(acknowledged) < ACKNOWLEDGED:
+            line = child.stdout.readline()
+            if not line:
+                break
+            acknowledged.append(line.split()[1])  # "added <term> -> <id>"
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        # lines printed before the kill landed were acknowledged too
+        acknowledged += [line.split()[1]
+                         for line in child.stdout.read().splitlines()]
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert len(acknowledged) >= ACKNOWLEDGED
+
+    saved = set(load_dictionary(dictionary).terms)
+    logged = changelog_terms(changelog)
+    assert set(acknowledged) <= set(logged)
+    assert len(logged) == len(set(logged))
+    # the kill can fall between the save and the changelog append, so
+    # the TSV may hold one term the changelog has not recorded yet
+    assert set(logged) <= saved
+    assert len(saved - set(logged)) <= 1
+
+    main(["dict", "add", "afterthecrash", "X:after", "--actor", "t",
+          "--dict", str(dictionary)], standalone_mode=False)
+    assert set(load_dictionary(dictionary).terms) == saved | {"afterthecrash"}
