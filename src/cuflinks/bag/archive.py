@@ -5,11 +5,18 @@ Extraction refuses anything else, along with member names that would
 escape the destination.
 
 Archives are written by a small ZIP writer (PKWARE APPNOTE layout) so
-that members can be deflated on several threads. Each worker deflates
-one member into a spool; the writer emits the spools in sorted order,
-directories first. The bytes are those ``zipfile`` writes for the same
-members, whatever the parallelism: deflate at zlib's default level, a
-1980 timestamp, mode 0600, ZIP64 records only past the classic limits.
+that members can be compressed on several threads. Each worker
+compresses one member into a spool; the writer emits the spools in
+sorted order, directories first.
+
+A member is deflated at zlib's default level unless deflating its
+first MiB (all of it, if shorter) saves less than a tenth of those
+bytes; then it is stored (method 0), since deflating it would cost time
+and save nothing. The rule reads only the member's own bytes, in the
+one pass that compresses it, so the archive's bytes do not depend on
+the parallelism. They are those ``zipfile`` writes for the same members
+with the same methods: a 1980 timestamp, mode 0600, ZIP64 records only
+past the classic limits.
 """
 
 from __future__ import annotations
@@ -31,8 +38,11 @@ from cuflinks.bag.model import in_bag_path_problem
 from cuflinks.bag.validate import validate_bag
 from cuflinks.errors import FormatError, ValidationError
 from cuflinks.fileio import create_exclusively
+from cuflinks.host import usable_cores
 
 _CHUNK = 64 * 1024
+# a member's first bytes, a whole number of chunks, decide its method
+_SAMPLE = 1024 * 1024
 # deflated bytes a spool keeps in memory before moving to a temp file
 _SPOOL_CAP = 256 * 1024
 
@@ -116,21 +126,43 @@ def _central_directory(members: list[_Member], start: int) -> bytes:
 
 
 def _deflate(path: Path, spool_dir: Path):
-    """Raw-deflate one file into a new spool: (spool, crc, file size)."""
+    """Compress one file into a new spool: (spool, method, crc, size).
+
+    The method is stored when deflating the file's first _SAMPLE bytes
+    (or all of it, if shorter) saves less than a tenth of them, else
+    deflated. The sample's raw chunks are kept until that is known, so
+    no byte is read twice.
+    """
     spool = tempfile.SpooledTemporaryFile(_SPOOL_CAP, dir=spool_dir)
     try:
         compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
         crc = size = 0
+        sample: list[bytes] = []
         with open(path, "rb") as source:
+            while size < _SAMPLE and (chunk := source.read(_CHUNK)):
+                size += len(chunk)
+                crc = zlib.crc32(chunk, crc)
+                sample.append(chunk)
+                spool.write(compressor.compress(chunk))
+            # the sample deflates to what is spooled plus what a flush
+            # would add; a copy leaves the stream open for the rest
+            deflated = spool.tell() + len(compressor.copy().flush())
+            stored = 10 * deflated > 9 * size
+            if stored:
+                spool.seek(0)
+                spool.truncate()
+                spool.writelines(sample)
+            del sample
             while chunk := source.read(_CHUNK):
                 size += len(chunk)
                 crc = zlib.crc32(chunk, crc)
-                spool.write(compressor.compress(chunk))
-        spool.write(compressor.flush())
+                spool.write(chunk if stored else compressor.compress(chunk))
+        if not stored:
+            spool.write(compressor.flush())
     except BaseException:
         spool.close()
         raise
-    return spool, crc, size
+    return spool, _STORED if stored else _DEFLATED, crc, size
 
 
 def _write_zip(handle, root: str, directories: list[str],
@@ -154,14 +186,14 @@ def _write_zip(handle, root: str, directories: list[str],
     # memory: glibc gives each concurrent thread its own malloc arena,
     # and an arena keeps what any later thread grows it to.
     window = max(1, min(parallelism, len(files)))
-    pool = ThreadPoolExecutor(min(window, os.cpu_count() or 1))
+    pool = ThreadPoolExecutor(min(window, usable_cores()))
     jobs = deque(pool.submit(_deflate, path, spool_dir)
                  for _, path in files[:window])
     try:
         for index, (rel, _) in enumerate(files):
-            spool, crc, size = jobs.popleft().result()
+            spool, method, crc, size = jobs.popleft().result()
             with spool:
-                put(_Member(f"{root}/{rel}", _DEFLATED, crc, size,
+                put(_Member(f"{root}/{rel}", method, crc, size,
                             spool.tell()), spool)
             if index + window < len(files):
                 jobs.append(pool.submit(_deflate, files[index + window][1],
@@ -176,7 +208,7 @@ def _write_zip(handle, root: str, directories: list[str],
 
 def serialize(bag_dir: Path, destination: Path | None = None, *,
               parallelism: int = 1) -> Path:
-    """Archive a fast-valid bag, deflating up to parallelism members
+    """Archive a fast-valid bag, compressing up to parallelism members
     ahead of the one being written."""
     if parallelism < 1:
         raise ValueError("parallelism must be a positive integer")

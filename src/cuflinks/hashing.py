@@ -10,6 +10,8 @@ import threading
 from pathlib import Path
 from typing import Iterable
 
+from cuflinks.host import usable_cores
+
 SUPPORTED_ALGORITHMS = ("md5", "sha256", "sha512")
 DEFAULT_ALGORITHM = "sha256"
 
@@ -58,17 +60,18 @@ def multi_digest_file(path: Path, algorithms: Iterable[str]) -> dict[str, str]:
     """Hash one file with several algorithms, reading each chunk once.
 
     The first algorithm is hashed on the calling thread. When the file
-    spans more than one chunk and the host has more than one core, each
-    further algorithm is hashed on its own short-lived thread, fed the
-    same chunks through a bounded queue; hashlib releases the GIL while
-    it hashes a chunk this large, so the algorithms run side by side.
+    spans more than one chunk and the process may run on more than one
+    core, each further algorithm is hashed on its own short-lived
+    thread, fed the same chunks through a bounded queue; hashlib
+    releases the GIL while it hashes a chunk this large, so the
+    algorithms run side by side.
     """
     names = _canonical_names(algorithms)
     if not names:
         raise ValueError("at least one algorithm is required")
     hashers = [hashlib.new(name) for name in names]
     with open(path, "rb") as handle:
-        if (len(hashers) > 1 and (os.cpu_count() or 1) > 1
+        if (len(hashers) > 1 and usable_cores() > 1
                 and os.fstat(handle.fileno()).st_size > _CHUNK_SIZE):
             _hash_on_threads(handle, hashers)
         else:

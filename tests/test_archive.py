@@ -104,9 +104,25 @@ def test_extract_refuses_occupied_destination(bag_dir, tmp_path):
         extract(archive, parent)
 
 
-def zipfile_reference(bag_dir: Path, destination: Path) -> Path:
+MIB = 1024 * 1024
+
+
+def reference_method(path: Path) -> int:
+    """Stored when a one-shot deflate of the first MiB saves less than a
+    tenth of it, else deflated."""
+    sample = path.read_bytes()[:MIB]
+    compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+    deflated = len(compressor.compress(sample) + compressor.flush())
+    if len(sample) - deflated < len(sample) / 10:
+        return zipfile.ZIP_STORED
+    return zipfile.ZIP_DEFLATED
+
+
+def zipfile_reference(bag_dir: Path, destination: Path,
+                      method=reference_method) -> Path:
     """The archive as zipfile writes it, member by member, in the order
-    and with the settings serialize has always used."""
+    and with the settings serialize uses; method(path) picks each
+    file's compression."""
     root = bag_dir.name
     paths = [path for path in sorted(bag_dir.rglob("*"))
              if not path.relative_to(bag_dir).parts[0].startswith(".")]
@@ -121,7 +137,7 @@ def zipfile_reference(bag_dir: Path, destination: Path) -> Path:
                 info = zipfile.ZipInfo(
                     f"{root}/{path.relative_to(bag_dir).as_posix()}",
                     date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_DEFLATED
+                info.compress_type = method(path)
                 with open(path, "rb") as source, \
                         handle.open(info, "w") as member:
                     shutil.copyfileobj(source, member)
@@ -131,8 +147,9 @@ def zipfile_reference(bag_dir: Path, destination: Path) -> Path:
 @pytest.fixture
 def varied_bag(fixed_clock, tmp_path):
     """Nested directories, an empty file, a non-ASCII name, a member
-    that outgrows the in-memory spool, and many more members than
-    workers."""
+    that outgrows the in-memory spool, random members over, under and
+    at one MiB, one whose random first MiB precedes compressible rows,
+    and many more members than workers."""
     rng = random.Random(7)
     source = tmp_path / "varied"
     (source / "a" / "b" / "c").mkdir(parents=True)
@@ -142,6 +159,11 @@ def varied_bag(fixed_clock, tmp_path):
     (source / "a" / "b" / "c" / "big.bin").write_bytes(
         rng.randbytes(3 * archive_module._SPOOL_CAP)
         + b"row,value\n" * 50_000)
+    (source / "random-over.bin").write_bytes(rng.randbytes(MIB + 70_001))
+    (source / "random-under.bin").write_bytes(rng.randbytes(300_007))
+    (source / "random-mib.bin").write_bytes(rng.randbytes(MIB))
+    (source / "random-then-rows.bin").write_bytes(
+        rng.randbytes(MIB) + b"row,value\n" * 100_000)
     for index in range(12):
         (source / "a" / f"part-{index:02d}.csv").write_text(
             "".join(f"{index},{rng.random()}\n" for _ in range(500)))
@@ -159,6 +181,36 @@ def test_archive_bytes_match_zipfile(varied_bag, tmp_path, parallelism):
     with zipfile.ZipFile(written) as handle:
         assert handle.testzip() is None
         assert len(handle.namelist()) > 4 * parallelism
+
+
+def test_incompressible_members_are_stored(varied_bag, tmp_path):
+    archive = serialize(varied_bag, tmp_path / "varied.zip")
+    with zipfile.ZipFile(archive) as handle:
+        methods = {info.filename.removeprefix("varied/"):
+                   info.compress_type for info in handle.infolist()
+                   if not info.is_dir()}
+    stored = {name for name, method in methods.items()
+              if method == zipfile.ZIP_STORED}
+    assert stored == {"bagit.txt", "fetch.txt", "data/empty.txt",
+                      "data/r\u00e9sum\u00e9-\u540d.txt",
+                      "data/random-over.bin", "data/random-under.bin",
+                      "data/random-mib.bin", "data/random-then-rows.bin"}
+    assert methods["data/a/b/c/big.bin"] == zipfile.ZIP_DEFLATED
+    assert methods["data/a/part-00.csv"] == zipfile.ZIP_DEFLATED
+    # only the first MiB decides: this member as a whole would deflate
+    # by far more than a tenth, and is stored all the same
+    mixed = (varied_bag / "data" / "random-then-rows.bin").read_bytes()
+    assert len(zlib.compress(mixed, 6)) < 0.7 * len(mixed)
+
+
+def test_fully_deflated_archive_still_extracts(varied_bag, tmp_path):
+    """Archives from before the stored rule deflate every member."""
+    old = zipfile_reference(varied_bag, tmp_path / "old.zip",
+                            method=lambda path: zipfile.ZIP_DEFLATED)
+    assert old.read_bytes() != serialize(
+        varied_bag, tmp_path / "new.zip").read_bytes()
+    restored = extract(old, tmp_path / "restored")
+    assert tree_files(restored) == tree_files(varied_bag)
 
 
 def test_at_most_parallelism_spools_open(tmp_path, fixed_clock, monkeypatch):
@@ -312,17 +364,23 @@ def _flip_member_byte(archive: Path, name: str) -> None:
 
 
 def test_extract_refuses_damaged_member(varied_bag, tmp_path):
-    archive = serialize(varied_bag, tmp_path / "varied.zip")
-    _flip_member_byte(archive, "varied/data/a/b/c/big.bin")
-    parent = tmp_path / "out"
-    with pytest.raises(FormatError, match="damaged archive"):
-        extract(archive, parent)
-    assert list(parent.iterdir()) == []  # no payload byte was placed
+    # a stored member has no deflate framing: only its CRC guards it
+    for name, method in [("a/b/c/big.bin", zipfile.ZIP_DEFLATED),
+                         ("random-over.bin", zipfile.ZIP_STORED)]:
+        archive = serialize(varied_bag, tmp_path / f"{method}.zip")
+        with zipfile.ZipFile(archive) as handle:
+            assert handle.getinfo(f"varied/data/{name}").compress_type \
+                == method
+        _flip_member_byte(archive, f"varied/data/{name}")
+        parent = tmp_path / f"out-{method}"
+        with pytest.raises(FormatError, match="damaged archive"):
+            extract(archive, parent)
+        assert list(parent.iterdir()) == []  # no payload byte was placed
 
-    result = CliRunner().invoke(main, ["bag", "extract", str(archive),
-                                       str(tmp_path / "cli")])
-    assert result.exit_code == 1
-    assert result.output.startswith("error: damaged archive")
+        result = CliRunner().invoke(main, ["bag", "extract", str(archive),
+                                           str(tmp_path / f"cli-{method}")])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: damaged archive")
 
 
 def test_extract_refuses_non_zip(tmp_path):

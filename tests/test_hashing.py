@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from cuflinks import hashing
+from cuflinks import hashing, host
 from cuflinks.hashing import (DEFAULT_ALGORITHM, HEX_DIGEST_LENGTHS,
                               SUPPORTED_ALGORITHMS, check_algorithm,
                               digest_bytes, digest_file, is_hex_digest,
@@ -166,7 +166,20 @@ def test_threads_only_for_extra_algorithms_over_chunks(
         threads):
     path = tmp_path / "sample.bin"
     path.write_bytes(bytes(size))
-    monkeypatch.setattr(hashing.os, "cpu_count", lambda: cores)
+    if cores is None:  # the platform reports neither affinity nor a count
+        monkeypatch.delattr(host.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(host.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(hashing, "usable_cores", lambda: cores)
     digests = multi_digest_file(path, algorithms)
     assert digests == multi_digest_bytes(bytes(size), algorithms)
     assert len(started_threads) == threads
+
+
+def test_usable_cores_prefers_affinity(monkeypatch):
+    monkeypatch.setattr(host.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(host.os, "sched_getaffinity", lambda pid: {1},
+                        raising=False)
+    assert host.usable_cores() == 1
+    monkeypatch.delattr(host.os, "sched_getaffinity")
+    assert host.usable_cores() == 8
