@@ -20,10 +20,6 @@ from cuflinks.hashing import SUPPORTED_ALGORITHMS, is_hex_digest
 PAYLOAD_PREFIX = "data/"
 METADATA_PREFIX = "metadata/"
 
-# root-level names the toolkit itself manages during materialization;
-# they are never part of the bag model
-WORK_PREFIX = "."
-
 
 @dataclass(frozen=True)
 class Entry:

@@ -23,11 +23,9 @@ from cuflinks.bag import (create_bag, extract, read_bag, serialize,
                           validate_bag, write_bag)
 from cuflinks.bag.validate import FAST, FULL
 from cuflinks.config import Config, load_config
-from cuflinks.errors import (ConfigError, CuflinksError, CycleError,
-                             FormatError, IdentifierError, IntegrityError,
-                             LedgerError, LockError, NotFoundError,
-                             NotInLedgerError, RegistryError, SchemeError,
-                             StoreError, TransferError, ValidationError)
+from cuflinks.errors import (ConfigError, CuflinksError, IdentifierError,
+                             LockError, RegistryError, SchemeError,
+                             StoreError, TransferError)
 from cuflinks.fetch import DIGEST_MISMATCH, LENGTH_MISMATCH, materialize
 from cuflinks.fileio import locked
 from cuflinks.links import (EnvironmentRef, Ledger, LinkageRecord, MethodRef,
@@ -67,9 +65,6 @@ def _mapped(func):
             raise
         except (IdentifierError, ConfigError, ValueError) as exc:
             _die(EXIT_USAGE, exc)
-        except (ValidationError, NotFoundError, CycleError, NotInLedgerError,
-                LedgerError, IntegrityError, FormatError) as exc:
-            _die(EXIT_FINDING, exc)
         except (LockError, SchemeError, TransferError, StoreError,
                 RegistryError, OSError) as exc:
             _die(EXIT_INFRA, exc)
@@ -372,13 +367,12 @@ def registry_serve(ctx, store_path, host, port, token) -> None:
     token = token if token is not None else config.registry_token
     with Registry.open(store_path) as registry:
         server = RegistryServer(registry, host, port, token=token)
-        with server:
-            click.echo(f"serving {server.base_url} "
-                       f"(store: {store_path})", err=True)
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
+        click.echo(f"serving {server.base_url} (store: {store_path})",
+                   err=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
 
 
 # --------------------------------------------------------------- link --

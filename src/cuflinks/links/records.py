@@ -20,7 +20,7 @@ from cuflinks.minid.model import is_valid_identifier
 REPOSITORY_COMMIT = "repository_commit"
 IDENTIFIED_ARTIFACT = "identified_artifact"
 
-_COMMIT_RE = re.compile(r"^[0-9a-f]{40}$|^[0-9a-f]{64}$")
+_COMMIT_RE = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class MethodRef:
         if self.kind == REPOSITORY_COMMIT:
             if not self.repository:
                 raise ValueError("repository URL is required")
-            if not self.commit or not _COMMIT_RE.match(self.commit):
+            if not self.commit or not _COMMIT_RE.fullmatch(self.commit):
                 raise ValueError(
                     f"commit {self.commit!r} is not a full-length hex hash; "
                     f"branch names and short hashes do not pin code")

@@ -23,10 +23,6 @@ from cuflinks.minid.model import ACTIVE, Checksum, MinidRecord, \
 from cuflinks.transfer import DEFAULT_TIMEOUT, SchemeRegistry
 from cuflinks.version import USER_AGENT
 
-RESOLVER_URL_VAR = "CUFLINKS_RESOLVER_URL"
-REGISTRY_TOKEN_VAR = "CUFLINKS_REGISTRY_TOKEN"
-
-
 class Resolver(Protocol):
     """Anything that can turn an identifier into its record."""
 

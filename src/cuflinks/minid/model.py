@@ -12,7 +12,7 @@ from cuflinks.hashing import SUPPORTED_ALGORITHMS, is_hex_digest
 PREFIX = "minid"
 
 _ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-_SUFFIX_RE = re.compile(r"^[0-9A-Za-z]{10,16}$")
+_SUFFIX_RE = re.compile(r"[0-9A-Za-z]{10,16}")
 
 # 12 characters of base62 carry just under 72 bits of randomness
 SUFFIX_LENGTH = 12
@@ -28,7 +28,7 @@ def parse_identifier(identifier: str) -> str:
     if sep != ":" or prefix != PREFIX:
         raise IdentifierError(
             f"{identifier!r} does not start with '{PREFIX}:'")
-    if not _SUFFIX_RE.match(suffix):
+    if not _SUFFIX_RE.fullmatch(suffix):
         raise IdentifierError(
             f"{identifier!r}: suffix must be 10 to 16 characters of "
             f"[0-9A-Za-z]")
@@ -45,10 +45,6 @@ def is_valid_identifier(identifier: str) -> bool:
     except IdentifierError:
         return False
     return True
-
-
-def is_valid_suffix(suffix: str) -> bool:
-    return bool(_SUFFIX_RE.match(suffix))
 
 
 def new_suffix() -> str:

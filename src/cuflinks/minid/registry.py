@@ -18,8 +18,8 @@ from cuflinks.errors import (CycleError, IdentifierError, NotFoundError,
                              RegistryError, StoreError)
 from cuflinks.minid.model import (ACTIVE, SUPERSEDED, TOMBSTONED, Checksum,
                                   MinidRecord, is_valid_identifier,
-                                  is_valid_suffix, new_suffix,
-                                  parse_identifier, render_identifier)
+                                  new_suffix, parse_identifier,
+                                  render_identifier)
 from cuflinks.minid.store import EventLog
 
 Clock = Callable[[], datetime]
@@ -29,6 +29,12 @@ _MINT_ATTEMPTS = 16
 
 def _default_clock() -> datetime:
     return datetime.now(timezone.utc)
+
+
+def _require_absolute(locations: tuple[str, ...]) -> None:
+    for location in locations:
+        if not urlsplit(location).scheme:
+            raise ValueError(f"location {location!r} is not an absolute URL")
 
 
 def _timestamp(clock: Clock) -> str:
@@ -106,29 +112,26 @@ class Registry:
             raise NotFoundError(f"{identifier} is not minted here")
         return record
 
-    def resolve_suffix(self, suffix: str) -> MinidRecord:
-        if not is_valid_suffix(suffix):
-            raise IdentifierError(f"malformed identifier suffix {suffix!r}")
-        record = self._index.get(suffix)
-        if record is None:
-            raise NotFoundError(
-                f"{render_identifier(suffix)} is not minted here")
-        return record
-
     def identifiers(self) -> tuple[str, ...]:
         return tuple(render_identifier(s) for s in sorted(self._index))
 
     # --- writes ---------------------------------------------------------
+
+    def _commit(self, event: dict) -> MinidRecord:
+        """Append the event durably, apply it, return the changed record.
+
+        Callers hold the write lock.
+        """
+        self.store.append(event)
+        self._apply(event)
+        return self._index[event["suffix"]]
 
     def mint(self, author: str, title: str, locations: tuple[str, ...] |
              list[str], checksum: Checksum) -> MinidRecord:
         locations = tuple(locations)
         if not locations:
             raise ValueError("at least one location is required")
-        for location in locations:
-            if not urlsplit(location).scheme:
-                raise ValueError(f"location {location!r} is not an "
-                                 f"absolute URL")
+        _require_absolute(locations)
         if not author or not title:
             raise ValueError("author and title are required")
         if checksum.algorithm != "sha256":
@@ -141,7 +144,7 @@ class Registry:
                 suffix = new_suffix()
             else:
                 raise RegistryError("could not find a free suffix")
-            event = {
+            return self._commit({
                 "op": "minted",
                 "suffix": suffix,
                 "author": author,
@@ -149,10 +152,7 @@ class Registry:
                 "title": title,
                 "locations": list(locations),
                 "checksum": checksum.to_json(),
-            }
-            self.store.append(event)
-            self._apply(event)
-            return self._index[suffix]
+            })
 
     def update_locations(self, identifier: str, add: tuple[str, ...] = (),
                          remove: tuple[str, ...] = (), *,
@@ -164,10 +164,7 @@ class Registry:
                     f"{identifier} is {record.status}; locations are frozen")
             add = tuple(dict.fromkeys(add))
             remove = tuple(dict.fromkeys(remove))
-            for location in add:
-                if not urlsplit(location).scheme:
-                    raise ValueError(f"location {location!r} is not an "
-                                     f"absolute URL")
+            _require_absolute(add)
             current = list(record.locations)
             for location in remove:
                 if location not in current:
@@ -182,16 +179,14 @@ class Registry:
             # additions first: every replay prefix keeps >=1 location
             for location in add:
                 if location not in current:
-                    event = {"op": "location-added", "suffix": suffix,
-                             "location": location, "actor": actor}
-                    self.store.append(event)
-                    self._apply(event)
+                    record = self._commit({
+                        "op": "location-added", "suffix": suffix,
+                        "location": location, "actor": actor})
             for location in remove:
-                event = {"op": "location-removed", "suffix": suffix,
-                         "location": location, "actor": actor}
-                self.store.append(event)
-                self._apply(event)
-            return self._index[suffix]
+                record = self._commit({
+                    "op": "location-removed", "suffix": suffix,
+                    "location": location, "actor": actor})
+            return record
 
     def tombstone(self, identifier: str, *, actor: str = "") -> MinidRecord:
         with self._write_lock:
@@ -202,12 +197,9 @@ class Registry:
                 raise RegistryError(
                     f"{identifier} is superseded; tombstoning would drop "
                     f"the successor pointer")
-            suffix = parse_identifier(identifier)
-            event = {"op": "tombstoned", "suffix": suffix, "actor": actor,
-                     "at": _timestamp(self.clock)}
-            self.store.append(event)
-            self._apply(event)
-            return self._index[suffix]
+            return self._commit({
+                "op": "tombstoned", "suffix": parse_identifier(identifier),
+                "actor": actor, "at": _timestamp(self.clock)})
 
     def supersede(self, identifier: str, by: str, *,
                   actor: str = "") -> MinidRecord:
@@ -242,9 +234,6 @@ class Registry:
                 if next_record is None or next_record.superseded_by is None:
                     break
                 cursor = next_record.superseded_by
-            suffix = parse_identifier(identifier)
-            event = {"op": "superseded", "suffix": suffix, "by": by,
-                     "actor": actor, "at": _timestamp(self.clock)}
-            self.store.append(event)
-            self._apply(event)
-            return self._index[suffix]
+            return self._commit({
+                "op": "superseded", "suffix": parse_identifier(identifier),
+                "by": by, "actor": actor, "at": _timestamp(self.clock)})

@@ -23,16 +23,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
                              NotFoundError, RegistryError)
-from cuflinks.minid.model import TOMBSTONED, Checksum
+from cuflinks.minid.model import TOMBSTONED, Checksum, render_identifier
 from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
 MAX_BODY_BYTES = 1024 * 1024
 REQUEST_TIMEOUT = 30.0
-
-
-class _BodyTooLarge(ValueError):
-    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -59,33 +55,42 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, code: str, detail: str) -> None:
         self._send(status, {"error": code, "detail": detail})
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
-        if length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte "
-                f"limit")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        body = json.loads(raw.decode("utf-8"))
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        return body
-
-    def _authorized(self) -> bool:
-        if self.token is None:
-            return True
-        header = self.headers.get("Authorization") or ""
-        return header == f"Bearer {self.token}"
-
-    def _suffix_from_path(self) -> str | None:
+    def _identifier_from_path(self) -> str | None:
+        """minid:<suffix> for a /minid/<suffix> path, else None."""
         prefix = "/minid/"
         if not self.path.startswith(prefix):
             return None
-        return self.path[len(prefix):]
+        return render_identifier(self.path[len(prefix):])
+
+    def _write_body(self) -> dict | None:
+        """The JSON object a write request carries.
+
+        Returns None once a refusal has been sent: 401 without the
+        bearer token, 413 above MAX_BODY_BYTES, 400 for an unusable
+        Content-Length or a body that is not a JSON object.
+        """
+        if self.token is not None and (
+                self.headers.get("Authorization") != f"Bearer {self.token}"):
+            self._error(401, "unauthorized", "write requires a bearer token")
+            return None
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                self._error(413, "too-large",
+                            f"body of {length} bytes exceeds the "
+                            f"{MAX_BODY_BYTES}-byte limit")
+                return None
+            raw = self.rfile.read(length) if length else b""
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            body = json.loads(raw.decode("utf-8")) if raw else {}
+            if not isinstance(body, dict):
+                raise ValueError("request body must be a JSON object")
+        except ValueError as exc:
+            self._error(400, "bad-request", f"unusable request body: {exc}")
+            return None
+        return body
 
     # --- methods ---------------------------------------------------------
 
@@ -94,12 +99,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, {"status": "ok",
                              "identifiers": len(self.registry)})
             return
-        suffix = self._suffix_from_path()
-        if suffix is None:
+        identifier = self._identifier_from_path()
+        if identifier is None:
             self._error(404, "no-route", f"no route for {self.path}")
             return
         try:
-            record = self.registry.resolve_suffix(suffix)
+            record = self.registry.resolve(identifier)
         except IdentifierError as exc:
             self._error(400, "malformed-identifier", str(exc))
             return
@@ -113,22 +118,17 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/minid", "/minid/"):
             self._error(404, "no-route", f"no route for {self.path}")
             return
-        if not self._authorized():
-            self._error(401, "unauthorized", "write requires a bearer token")
+        body = self._write_body()
+        if body is None:
             return
         try:
-            body = self._read_body()
             record = self.registry.mint(
                 author=body.get("author", ""),
                 title=body.get("title", ""),
                 locations=tuple(body.get("locations", ())),
                 checksum=Checksum.from_json(body["checksum"]),
             )
-        except _BodyTooLarge as exc:
-            self._error(413, "too-large", str(exc))
-            return
-        except (KeyError, TypeError, ValueError,
-                json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             self._error(400, "bad-request", f"unusable mint request: {exc}")
             return
         except CuflinksError as exc:
@@ -137,22 +137,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(201, record.to_json())
 
     def do_PATCH(self) -> None:
-        suffix = self._suffix_from_path()
-        if suffix is None:
+        identifier = self._identifier_from_path()
+        if identifier is None:
             self._error(404, "no-route", f"no route for {self.path}")
             return
-        if not self._authorized():
-            self._error(401, "unauthorized", "write requires a bearer token")
+        body = self._write_body()
+        if body is None:
             return
-        try:
-            body = self._read_body()
-        except _BodyTooLarge as exc:
-            self._error(413, "too-large", str(exc))
-            return
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._error(400, "bad-request", str(exc))
-            return
-        identifier = f"minid:{suffix}"
         actor = str(body.get("actor", ""))
         try:
             if body.get("tombstone"):
@@ -182,7 +173,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class RegistryServer:
-    """A registry bound to a listening socket, run on a daemon thread."""
+    """A registry bound to a listening socket.
+
+    One accept loop serves it: serve_forever() on the calling thread, or
+    start() and stop() (``with``) on a daemon thread; never both.
+    """
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1",
                  port: int = 0, *, token: str | None = None) -> None:
@@ -202,22 +197,24 @@ class RegistryServer:
         host, port = self.address
         return f"http://{host}:{port}/minid"
 
+    def serve_forever(self) -> None:
+        """Accept on the calling thread until stopped, then close."""
+        try:
+            self._server.serve_forever()
+        finally:
+            self._server.server_close()
+
     def start(self) -> "RegistryServer":
-        thread = threading.Thread(target=self._server.serve_forever,
-                                  name="cuflinks-registry", daemon=True)
-        thread.start()
-        self._thread = thread
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        name="cuflinks-registry",
+                                        daemon=True)
+        self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
     def stop(self) -> None:
+        """End the loop start() began; the socket is closed on return."""
         self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._thread.join()
 
     def __enter__(self) -> "RegistryServer":
         return self.start()

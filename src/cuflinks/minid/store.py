@@ -2,8 +2,9 @@
 
 Frame layout: 4-byte big-endian payload length, 4-byte big-endian CRC32
 of the payload, then the payload (compact JSON, UTF-8). Appends are a
-single write followed by fsync, so a committed event survives a crash
-and a torn final write fails its CRC on replay. Replay stops at the
+whole-frame write followed by fsync, so a committed event survives a
+crash and a torn final write fails its CRC on replay. An append that
+fails truncates the log back to where it began. Replay stops at the
 first damaged frame and, in writer mode, truncates the file there; any
 trailing bytes are the remains of an interrupted append.
 
@@ -79,7 +80,7 @@ class EventLog:
         if not self.read_only and valid_end < len(data):
             # drop the torn tail so the next append starts clean
             os.ftruncate(self._fd, valid_end)
-        os.lseek(self._fd, 0, os.SEEK_END)
+        self._end = os.lseek(self._fd, 0, os.SEEK_END)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -98,10 +99,20 @@ class EventLog:
                              ensure_ascii=False).encode("utf-8")
         frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         try:
-            os.write(self._fd, frame)
+            written = 0
+            while written < len(frame):
+                written += os.write(self._fd, frame[written:])
             os.fsync(self._fd)
         except OSError as exc:
+            try:
+                os.ftruncate(self._fd, self._end)
+                os.lseek(self._fd, self._end, os.SEEK_SET)
+            except OSError:
+                # the log cannot be put back: stop writing to it, so no
+                # later event lands behind the torn frame
+                self.close()
             raise StoreError(f"append to {self.path} failed: {exc}") from exc
+        self._end += len(frame)
         self._events.append(body)
         return sequence
 

@@ -1,16 +1,25 @@
 """End-to-end command line behavior, including exit codes."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cuflinks
 from cuflinks import cli
 from cuflinks.cli import main
 from cuflinks.hashing import digest_file
 from cuflinks.links import Ledger
-from cuflinks.minid import Registry
+from cuflinks.minid import Checksum, Registry, RegistryClient
 
 from test_fetch import punch_holes
 
@@ -209,6 +218,54 @@ def test_resolve_download_looks_up_once(runner, tmp_path, file_server,
     assert f"{identifier} is tombstoned" in result.stderr
     assert calls == [identifier]
     assert not gone.exists()
+
+
+def test_registry_serve_runs_one_accept_loop(runner, tmp_path,
+                                             monkeypatch):
+    loops = []
+    serve = ThreadingHTTPServer.serve_forever
+
+    def recording(server, *args, **kwargs):
+        loops.append((server, threading.current_thread()))
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        serve(server, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", recording)
+    invoke(runner, ["registry", "serve", "--store",
+                    str(tmp_path / "registry.log"), "--port", "0"])
+    assert [thread for _, thread in loops] == [threading.main_thread()]
+    assert loops[0][0].socket.fileno() == -1  # closed when the loop ended
+
+
+def test_registry_serve_stops_at_once_on_sigint(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cuflinks.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cuflinks.cli", "registry", "serve",
+         "--store", str(tmp_path / "registry.log"), "--port", "0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, env=env)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    try:
+        base_url = re.search(r"serving (\S+)",
+                             child.stderr.readline()).group(1)
+        client = RegistryClient(base_url)
+        for _ in range(3):
+            record = client.mint("tester", "content",
+                                 ("http://127.0.0.1:1/x",),
+                                 Checksum("sha256", "0" * 64))
+            assert client.resolve(record.identifier) == record
+        child.send_signal(signal.SIGINT)
+        started = time.monotonic()
+        assert child.wait(timeout=2) == 0
+        assert time.monotonic() - started < 2
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.wait()
+        child.stderr.close()
 
 
 def test_link_workflow(runner, tmp_path, file_server):

@@ -72,6 +72,8 @@ def test_method_ref_commit():
         MethodRef.from_commit("https://example.org/x.git", "main")
     with pytest.raises(ValueError):
         MethodRef.from_commit("https://example.org/x.git", "d" * 7)
+    with pytest.raises(ValueError):
+        MethodRef.from_commit("https://example.org/x.git", COMMIT + "\n")
 
 
 def test_method_ref_artifact():

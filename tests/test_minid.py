@@ -10,11 +10,13 @@ import zlib
 import pytest
 
 from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
-                             LockError, NotFoundError, RegistryError)
+                             LockError, NotFoundError, RegistryError,
+                             StoreError)
 from cuflinks.minid import (Checksum, EventLog, MinidRecord, Registry,
                             is_valid_identifier, new_suffix,
                             parse_identifier, render_identifier,
                             resolve_to_bytes)
+from cuflinks.minid import store
 from cuflinks.transfer import default_registry
 
 from conftest import FIXED_INSTANT, CountingResolver
@@ -37,6 +39,7 @@ def test_known_identifier_string_is_valid():
     "minid:" + "a" * 17,       # over 16 chars
     "minid:has-hyphen-x",      # outside base62
     "minid:has space xx",
+    "minid:fPTs86M7VTyb\n",    # a final newline is not part of it
     "MINID:fPTs86M7VTyb",      # prefix is case-sensitive
     "doi:10.1234/x",
 ])
@@ -208,8 +211,6 @@ def test_resolve_unknown(registry):
         registry.resolve("minid:fPTs86M7VTyb")
     with pytest.raises(IdentifierError):
         registry.resolve("minid:nope")
-    with pytest.raises(IdentifierError):
-        registry.resolve_suffix("nope")
 
 
 def test_index_survives_reopen(tmp_path):
@@ -220,6 +221,86 @@ def test_index_survives_reopen(tmp_path):
         assert set(registry.identifiers()) == identifiers
         for identifier in identifiers:
             assert registry.resolve(identifier).status == "active"
+
+
+class FaultyWrites:
+    """Stands in for ``os`` inside the store. Once armed, one write stores
+    half its bytes; the write after it stores the rest, or raises ENOSPC
+    when ``then_fail`` is set."""
+
+    def __init__(self, then_fail: bool) -> None:
+        self.armed = False
+        self.then_fail = then_fail
+        self.halves = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        if not self.armed:
+            return os.write(fd, data)
+        if self.halves:
+            self.armed = False
+            if self.then_fail:
+                raise OSError(28, "No space left on device")
+            return os.write(fd, data)
+        self.halves += 1
+        return os.write(fd, bytes(data[:len(data) // 2]))
+
+
+def test_short_write_loses_no_acknowledged_mint(tmp_path, monkeypatch):
+    faulty = FaultyWrites(then_fail=False)
+    monkeypatch.setattr(store, "os", faulty)
+    path = tmp_path / "registry.log"
+    with Registry.open(path) as registry:
+        first = mint(registry).identifier
+        faulty.armed = True
+        second = mint(registry).identifier
+        third = mint(registry).identifier
+    assert faulty.halves == 1 and not faulty.armed
+    with Registry.open(path, read_only=True) as registry:
+        assert registry.identifiers() == tuple(sorted((first, second,
+                                                       third)))
+
+
+def test_failed_append_leaves_the_log_as_it_was(tmp_path, monkeypatch):
+    faulty = FaultyWrites(then_fail=True)
+    monkeypatch.setattr(store, "os", faulty)
+    path = tmp_path / "registry.log"
+    with Registry.open(path) as registry:
+        first = mint(registry).identifier
+        size = path.stat().st_size
+        faulty.armed = True
+        with pytest.raises(StoreError):
+            mint(registry)
+        assert faulty.halves == 1
+        assert path.stat().st_size == size
+        assert registry.identifiers() == (first,)
+        last = mint(registry).identifier
+    with Registry.open(path, read_only=True) as registry:
+        assert registry.identifiers() == tuple(sorted((first, last)))
+
+
+def test_append_that_cannot_be_undone_stops_the_writer(tmp_path,
+                                                        monkeypatch):
+    def refuse(fd, length):
+        raise OSError(5, "Input/output error")
+
+    faulty = FaultyWrites(then_fail=True)
+    faulty.ftruncate = refuse
+    monkeypatch.setattr(store, "os", faulty)
+    path = tmp_path / "registry.log"
+    with Registry.open(path) as registry:
+        first = mint(registry).identifier
+        faulty.armed = True
+        with pytest.raises(StoreError):
+            mint(registry)
+        with pytest.raises(StoreError):  # nothing lands behind the tear
+            mint(registry)
+        assert registry.resolve(first).status == "active"
+    monkeypatch.undo()
+    with Registry.open(path) as registry:  # the next writer drops it
+        assert registry.identifiers() == (first,)
 
 
 def test_update_locations(registry):
