@@ -8,11 +8,12 @@ Routes (JSON bodies, UTF-8):
     PATCH /minid/<suffix>  location updates, plus administrative state
                            changes ("tombstone": true, "supersede_by")
 
-Writes require a bearer token when the server is given one. Reads never
-do. Request bodies are capped at MAX_BODY_BYTES (413 above it), and a
-connection that stays silent for REQUEST_TIMEOUT seconds is dropped.
-Threaded server: resolution keeps working while a mint is in flight,
-and the registry serializes writers internally.
+A store that cannot be read or written answers 500 registry-error on
+every /minid route. Writes require a bearer token when the server is
+given one. Reads never do. Request bodies are capped at MAX_BODY_BYTES
+(413 above it), and a connection that stays silent for REQUEST_TIMEOUT
+seconds is dropped. Threaded server: resolution keeps working while a
+mint is in flight, and the registry serializes writers internally.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ class _Handler(BaseHTTPRequestHandler):
         except NotFoundError as exc:
             self._error(404, "not-found", str(exc))
             return
+        except CuflinksError as exc:
+            self._error(500, "registry-error", str(exc))
+            return
         status = 410 if record.status == TOMBSTONED else 200
         self._send(status, record.to_json())
 
@@ -168,6 +172,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except (TypeError, ValueError) as exc:
             self._error(400, "bad-request", str(exc))
+            return
+        except CuflinksError as exc:
+            self._error(500, "registry-error", str(exc))
             return
         self._send(200, record.to_json())
 

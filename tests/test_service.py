@@ -1,7 +1,12 @@
 """The resolution API over real sockets, exercised through the client."""
 
 import json
+import os
+import struct
+import sys
+import threading
 import urllib.request
+import zlib
 
 import pytest
 
@@ -9,6 +14,7 @@ from cuflinks.errors import (IdentifierError, NotFoundError, RegistryError,
                              TransferError)
 from cuflinks.minid import (Checksum, Registry, RegistryClient,
                             RegistryServer)
+from cuflinks.minid import store
 
 from conftest import FIXED_INSTANT
 
@@ -196,3 +202,99 @@ def test_concurrent_mints_over_http(server):
     assert not errors
     assert len(set(minted)) == 40
     assert client.resolve(minted[0]).status == "active"
+
+
+# --- store failures and racing requests ----------------------------------
+
+def http_send(url: str, method: str, body: dict):
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode(), method=method,
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class NoSpace:
+    """Stands in for ``os`` inside the store: every write fails ENOSPC."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        raise OSError(28, "No space left on device")
+
+
+def test_patch_that_cannot_be_stored_is_500(client, server, monkeypatch):
+    identifier = mint(client)
+    monkeypatch.setattr(store, "os", NoSpace())
+    status, body = http_send(
+        f"{server.base_url}/{identifier.removeprefix('minid:')}", "PATCH",
+        {"add": ["https://mirror.org/x"], "actor": "tester"})
+    assert status == 500
+    assert body["error"] == "registry-error"
+    assert "No space left" in body["detail"]
+    monkeypatch.undo()
+    assert client.resolve(identifier).locations == (URL,)
+
+
+def test_get_of_a_malformed_committed_event_is_500(tmp_path):
+    path = tmp_path / "registry.log"
+    event = {"op": "minted", "suffix": "AAAAAAAAAAAA", "author": "tester",
+             "created": "2026-01-15T12:00:00Z", "title": "content",
+             "locations": [URL], "checksum": {"algorithm": "sha256"},
+             "seq": 1}
+    payload = json.dumps(event, sort_keys=True,
+                         separators=(",", ":")).encode()
+    path.write_bytes(struct.pack(">II", len(payload), zlib.crc32(payload))
+                     + payload)
+    with Registry.open(path) as registry, RegistryServer(registry) as server:
+        status, body = http_get(f"{server.base_url}/AAAAAAAAAAAA")
+    assert status == 500
+    assert body["error"] == "registry-error"
+    assert "event 1 of" in body["detail"]
+
+
+def test_reads_racing_updates_end_at_the_last_acknowledged_one(tmp_path):
+    path = tmp_path / "registry.log"
+    with Registry.open(path) as registry:
+        identifier = registry.mint("tester", "content", (URL,),
+                                   Checksum("sha256", SHA)).identifier
+    errors: list[Exception] = []
+    done = threading.Event()
+
+    def read():
+        reader = RegistryClient(server.base_url)
+        while not done.is_set():
+            try:
+                reader.resolve(identifier)
+            except Exception as exc:  # noqa: BLE001 - surface in main thread
+                errors.append(exc)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside builds too
+    try:
+        # a fresh open: the first reads build the record as updates commit
+        with Registry.open(path) as registry, \
+                RegistryServer(registry) as server:
+            readers = [threading.Thread(target=read) for _ in range(3)]
+            for thread in readers:
+                thread.start()
+            writer = RegistryClient(server.base_url)
+            for n in range(20):
+                last = writer.update_locations(
+                    identifier, add=(f"https://mirror.org/{n}",), actor="t")
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert writer.resolve(identifier) == last
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(last.locations) == 21
+    with Registry.open(path, read_only=True) as reopened:
+        assert reopened.resolve(identifier) == last
