@@ -80,10 +80,6 @@ class FetchEntry:
         if problem:
             raise InvariantError(f"fetch path {self.path!r}: {problem}")
 
-    @property
-    def scheme(self) -> str:
-        return urlsplit(self.url).scheme.lower()
-
 
 def in_bag_path_problem(path: str) -> str | None:
     """Return a description of what is wrong with an in-bag path, or None."""

@@ -94,25 +94,25 @@ def render_bagit(decl: BagDeclaration) -> bytes:
     return text.encode("utf-8")
 
 
-def parse_bagit(data: bytes, filename: str = BAGIT_FILENAME) -> BagDeclaration:
-    lines = _text_lines(data, filename)
+def parse_bagit(data: bytes) -> BagDeclaration:
+    lines = _text_lines(data, BAGIT_FILENAME)
     if len(lines) != 2:
         raise FormatError("expected exactly two declaration lines",
-                          path=filename)
+                          path=BAGIT_FILENAME)
     values = {}
     for number, (label, line) in enumerate(
             zip(("BagIt-Version", "Tag-File-Character-Encoding"), lines),
             start=1):
         prefix = label + ": "
         if not line.startswith(prefix):
-            raise FormatError(f"expected {prefix!r}...", path=filename,
+            raise FormatError(f"expected {prefix!r}...", path=BAGIT_FILENAME,
                               line=number)
         values[label] = line[len(prefix):]
     try:
         return BagDeclaration(version=values["BagIt-Version"],
                               encoding=values["Tag-File-Character-Encoding"])
     except InvariantError as exc:
-        raise FormatError(str(exc), path=filename) from exc
+        raise FormatError(str(exc), path=BAGIT_FILENAME) from exc
 
 
 # --- bag-info.txt ------------------------------------------------------
@@ -128,27 +128,25 @@ def render_bag_info(pairs: tuple[tuple[str, str], ...]) -> bytes:
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 
-def parse_bag_info(data: bytes,
-                   filename: str = BAG_INFO_FILENAME
-                   ) -> tuple[tuple[str, str], ...]:
-    lines = _text_lines(data, filename)
+def parse_bag_info(data: bytes) -> tuple[tuple[str, str], ...]:
+    lines = _text_lines(data, BAG_INFO_FILENAME)
     pairs: list[tuple[str, str]] = []
     for number, line in enumerate(lines, start=1):
         if line.startswith((" ", "\t")):
             if not pairs:
                 raise FormatError("continuation line before any label",
-                                  path=filename, line=number)
+                                  path=BAG_INFO_FILENAME, line=number)
             key, value = pairs[-1]
             pairs[-1] = (key, value + "\n" + line[1:])
             continue
         colon = line.find(":")
         if colon <= 0:
-            raise FormatError("expected 'Label: value'", path=filename,
-                              line=number)
+            raise FormatError("expected 'Label: value'",
+                              path=BAG_INFO_FILENAME, line=number)
         key = line[:colon]
         if key != key.strip():
             raise FormatError(f"label {key!r} has surrounding whitespace",
-                              path=filename, line=number)
+                              path=BAG_INFO_FILENAME, line=number)
         value = line[colon + 1:]
         if value.startswith(" "):
             value = value[1:]
@@ -226,9 +224,8 @@ def render_fetch(entries: tuple[FetchEntry, ...] | list[FetchEntry]) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def parse_fetch(data: bytes,
-                filename: str = FETCH_FILENAME) -> tuple[FetchEntry, ...]:
-    lines = _text_lines(data, filename)
+def parse_fetch(data: bytes) -> tuple[FetchEntry, ...]:
+    lines = _text_lines(data, FETCH_FILENAME)
     entries: list[FetchEntry] = []
     seen: set[str] = set()
     for number, line in enumerate(lines, start=1):
@@ -237,7 +234,7 @@ def parse_fetch(data: bytes,
         match = re.match(r"^(\S+)[ \t]+(\S+)[ \t]+(.+)$", line)
         if not match:
             raise FormatError("expected '<url> <length> <path>'",
-                              path=filename, line=number)
+                              path=FETCH_FILENAME, line=number)
         url, length_text, encoded = match.groups()
         if length_text == "-":
             length = None
@@ -246,19 +243,20 @@ def parse_fetch(data: bytes,
         else:
             raise FormatError(
                 f"length {length_text!r} is neither a byte count nor '-'",
-                path=filename, line=number)
+                path=FETCH_FILENAME, line=number)
         path = _decode_lenient(encoded)
         problem = payload_path_problem(path)
         if problem:
             raise FormatError(f"fetch target {path!r}: {problem}",
-                              path=filename, line=number)
+                              path=FETCH_FILENAME, line=number)
         try:
             entry = FetchEntry(url=url, length=length, path=path)
         except InvariantError as exc:
-            raise FormatError(str(exc), path=filename, line=number) from exc
+            raise FormatError(str(exc), path=FETCH_FILENAME,
+                              line=number) from exc
         if entry.path in seen:
             raise FormatError(f"duplicate fetch entry for {path!r}",
-                              path=filename, line=number)
+                              path=FETCH_FILENAME, line=number)
         seen.add(entry.path)
         entries.append(entry)
     return tuple(entries)

@@ -29,8 +29,7 @@ from cuflinks.errors import (IdentifierError, IntegrityError, LockError,
                              NotFoundError, RegistryError, TransferError,
                              ValidationError)
 from cuflinks.hashing import multi_digest_file
-from cuflinks.transfer import (RETRY_ATTEMPTS, RETRY_BASE_DELAY,
-                               SchemeRegistry, Sleeper, fetch_with_retries)
+from cuflinks.transfer import SchemeRegistry, Sleeper, fetch_with_retries
 
 __all__ = [
     "FetchEntry",
@@ -93,8 +92,6 @@ def materialize(bag_dir: Path,
                 registry: SchemeRegistry | None = None,
                 parallelism: int = 1,
                 *,
-                attempts: int = RETRY_ATTEMPTS,
-                base_delay: float = RETRY_BASE_DELAY,
                 sleep: Sleeper = time.sleep) -> MaterializationReport:
     """Fetch pending entries of the bag at ``bag_dir`` and commit them.
 
@@ -140,7 +137,6 @@ def materialize(bag_dir: Path,
 
         def process(entry: FetchEntry) -> Outcome:
             return _materialize_one(entry, bag, bag_dir, workspace, registry,
-                                    attempts=attempts, base_delay=base_delay,
                                     sleep=sleep)
 
         todo = [entry for entry in bag.fetch if entry.path in selected]
@@ -166,17 +162,14 @@ def materialize(bag_dir: Path,
 
 def _materialize_one(entry: FetchEntry, bag: Bag, bag_dir: Path,
                      workspace: Path, registry: SchemeRegistry,
-                     *, attempts: int, base_delay: float,
-                     sleep: Sleeper) -> Outcome:
+                     *, sleep: Sleeper) -> Outcome:
     token = hashlib.sha256(entry.path.encode("utf-8")).hexdigest()[:16]
     staging = workspace / f"{token}.part"
     try:
         fetcher = registry.for_url(entry.url)
         try:
             fetch_with_retries(fetcher, entry.url,
-                               lambda: open(staging, "wb"),
-                               attempts=attempts, base_delay=base_delay,
-                               sleep=sleep)
+                               lambda: open(staging, "wb"), sleep=sleep)
         except (TransferError, RegistryError, NotFoundError,
                 IdentifierError) as exc:
             # identifier-backed URLs can fail at resolution, not just

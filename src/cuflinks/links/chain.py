@@ -40,8 +40,6 @@ class ChainGraph:
     start: str
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]     # (output, input) pairs
-    roots: tuple[str, ...]                 # nodes with no producing record
-    declared_roots: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -138,13 +136,9 @@ def walk_chain(ledger: Ledger | LedgerView, start: str) -> ChainGraph:
             if state == WHITE:
                 stack.append((input_id, False))
 
-    roots = tuple(sorted(n for n in nodes if n not in view.linkages))
     return ChainGraph(start=start,
                       nodes=tuple(sorted(nodes)),
-                      edges=tuple(sorted(edges)),
-                      roots=roots,
-                      declared_roots=tuple(sorted(
-                          set(roots) & view.roots)))
+                      edges=tuple(sorted(edges)))
 
 
 def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,

@@ -202,9 +202,6 @@ class Registry:
             raise NotFoundError(f"{identifier} is not minted here")
         return record
 
-    def identifiers(self) -> tuple[str, ...]:
-        return tuple(render_identifier(s) for s in sorted(self._minted))
-
     # --- writes ---------------------------------------------------------
 
     def _commit(self, event: dict) -> MinidRecord:

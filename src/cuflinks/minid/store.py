@@ -30,7 +30,7 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from cuflinks.errors import LockError, StoreError
 
@@ -139,9 +139,6 @@ class EventLog:
             raise StoreError(f"event {seq} of {self.path} is not a JSON "
                              f"object carrying seq {seq}")
         return event
-
-    def events(self) -> Iterator[dict]:
-        return (self.event(seq) for seq in range(1, len(self) + 1))
 
     def append(self, event: dict) -> int:
         """Durably append one event; returns its sequence number."""

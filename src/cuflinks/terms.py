@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from cuflinks.errors import CycleError, FormatError
 from cuflinks.fileio import write_atomically
@@ -111,14 +111,6 @@ class TermDictionary:
             for key in _deletion_neighbourhood(term.casefold()):
                 index.setdefault(key, []).append(term)
         return index
-
-    def active_terms(self) -> Iterator[tuple[str, TermRecord]]:
-        for term, record in self.terms.items():
-            if record.status == ACTIVE:
-                yield term, record
-
-    def active_canonical_ids(self) -> set[str]:
-        return {record.canonical_id for _, record in self.active_terms()}
 
 
 def validate_term(value: str, dictionary: TermDictionary) -> TermCheck:

@@ -96,26 +96,23 @@ def default_registry() -> SchemeRegistry:
 
 
 def fetch_with_retries(fetcher: Fetcher, url: str, open_sink,
-                       *, attempts: int = RETRY_ATTEMPTS,
-                       base_delay: float = RETRY_BASE_DELAY,
-                       sleep: Sleeper = time.sleep) -> int:
+                       *, sleep: Sleeper = time.sleep) -> int:
     """Run fetcher.fetch with retries on transfer errors.
 
     open_sink is a zero-argument callable returning a fresh binary sink;
     each attempt starts from an empty sink so a partial body from a
-    failed attempt never leaks into the next one. Backoff doubles from
-    base_delay between attempts.
+    failed attempt never leaks into the next one. RETRY_ATTEMPTS tries
+    are made, with backoff doubling from RETRY_BASE_DELAY between them.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
     failures: list[str] = []
-    for attempt in range(attempts):
+    for attempt in range(RETRY_ATTEMPTS):
         if attempt:
-            sleep(base_delay * (2 ** (attempt - 1)))
+            sleep(RETRY_BASE_DELAY * (2 ** (attempt - 1)))
         try:
             with open_sink() as sink:
                 return fetcher.fetch(url, sink)
         except TransferError as exc:
             failures.append(str(exc))
     raise TransferError(
-        f"{url}: all {attempts} attempts failed: {' | '.join(failures)}")
+        f"{url}: all {RETRY_ATTEMPTS} attempts failed: "
+        f"{' | '.join(failures)}")

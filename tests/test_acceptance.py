@@ -240,14 +240,23 @@ def test_criterion_4_minid_round_trip(acceptance, tmp_path):
     if run.returncode != -signal.SIGKILL:
         problems.append(f"crash child exited {run.returncode}, not SIGKILL")
     committed = [line for line in run.stdout.split("\n") if line]
+    lost = []
     with Registry.open(crash_store) as registry:
-        survived = set(registry.identifiers())
+        replayed = len(registry)
+        for identifier in committed:
+            try:
+                registry.resolve(identifier)
+            except NotFoundError:
+                lost.append(identifier)
     if len(committed) != 250:
         problems.append(f"crash child committed {len(committed)} records")
-    lost = [identifier for identifier in committed
-            if identifier not in survived]
     if lost:
         problems.append(f"{len(lost)} committed records lost on replay")
+    # with every acknowledged identifier resolving, a count above theirs
+    # means a record that was never acknowledged
+    if replayed != len(set(committed)):
+        problems.append(f"{replayed} records replayed for "
+                        f"{len(set(committed))} acknowledged")
     _finish(acceptance, 4, problems, start, 60.0)
 
 

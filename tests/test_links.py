@@ -242,8 +242,6 @@ def test_walk_linear(tmp_path):
     assert graph.start == d2
     assert set(graph.nodes) == {d0, d1, d2}
     assert set(graph.edges) == {(d2, d1), (d1, d0)}
-    assert graph.roots == (d0,)
-    assert graph.declared_roots == (d0,)
 
 
 def test_walk_diamond(tmp_path):

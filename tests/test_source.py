@@ -16,3 +16,51 @@ def test_no_assert_statements_in_the_package():
                                             str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line that binds it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, in quoted annotations, or listed in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            annotation = getattr(node, "annotation",
+                                 getattr(node, "returns", None))
+            if (isinstance(annotation, ast.Constant)
+                    and isinstance(annotation.value, str)):
+                used |= _used_names(ast.parse(annotation.value))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "__all__"
+                      for target in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports_in_the_package():
+    """An import nothing reads is left over from deleted code."""
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        used = _used_names(tree)
+        found.extend(f"{path.relative_to(PACKAGE)}:{line} {name}"
+                     for name, line in _imported_names(tree).items()
+                     if name not in used)
+    assert found == []
