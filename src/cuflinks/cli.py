@@ -41,7 +41,7 @@ from cuflinks.minid.model import Checksum
 from cuflinks.terms import (TermDictionary, add_term, append_changelog,
                             deprecate_term, load_dictionary,
                             save_dictionary, validate_term)
-from cuflinks.transfer import SchemeRegistry, default_registry
+from cuflinks.transfer import SchemeRegistry, Transport, default_registry
 from cuflinks.version import TOOL_NAME, __version__
 
 EXIT_OK = 0
@@ -83,12 +83,13 @@ def _settings(ctx: click.Context, **overrides) -> Config:
     return load_config(ctx.obj.get("config_file"), overrides=filtered)
 
 
-def _open_resolver(config: Config, stack: ExitStack, *,
-                   writable: bool = False):
+def _open_resolver(config: Config, stack: ExitStack, transport: Transport,
+                   *, writable: bool = False):
     """The configured registry: remote client or local event-log store."""
     if config.resolver_url:
         return RegistryClient(config.resolver_url,
-                              token=config.registry_token)
+                              token=config.registry_token,
+                              transport=transport)
     if config.store:
         registry = Registry.open(Path(config.store),
                                  read_only=not writable)
@@ -99,8 +100,8 @@ def _open_resolver(config: Config, stack: ExitStack, *,
         "config file, or CUFLINKS_RESOLVER_URL / CUFLINKS_STORE)")
 
 
-def _scheme_registry(resolver=None) -> SchemeRegistry:
-    schemes = default_registry()
+def _scheme_registry(transport: Transport, resolver=None) -> SchemeRegistry:
+    schemes = default_registry(transport)
     if resolver is not None:
         schemes.register("minid", MinidFetcher(resolver, schemes))
     return schemes
@@ -205,11 +206,12 @@ def bag_resolve_fetch(ctx, bag_dir, paths, parallelism, as_json) -> None:
     """Download the bag's pending fetch.txt entries into place."""
     config = _settings(ctx, parallelism=parallelism)
     with ExitStack() as stack:
+        transport = stack.enter_context(Transport())
         try:
-            resolver = _open_resolver(config, stack)
+            resolver = _open_resolver(config, stack, transport)
         except ConfigError:
             resolver = None  # identifier URLs then fail the scheme check
-        schemes = _scheme_registry(resolver)
+        schemes = _scheme_registry(transport, resolver)
         report = materialize(bag_dir, tuple(paths) or "all",
                              registry=schemes,
                              parallelism=config.parallelism)
@@ -300,7 +302,9 @@ def minid_mint(ctx, title, author, locations, from_file, sha256_hex,
                 else Checksum(algorithm="sha256", digest=sha256_hex))
     config = _settings(ctx, store=store_path)
     with ExitStack() as stack:
-        resolver = _open_resolver(config, stack, writable=True)
+        resolver = _open_resolver(config, stack,
+                                  stack.enter_context(Transport()),
+                                  writable=True)
         record = resolver.mint(author, title, tuple(locations), checksum)
     if as_json:
         _emit_json(record.to_json())
@@ -328,10 +332,12 @@ def minid_resolve(ctx, identifier, download_to, store_path, as_json) -> None:
     parse_identifier(identifier)  # malformed input is a usage error
     config = _settings(ctx, store=store_path)
     with ExitStack() as stack:
-        resolver = _open_resolver(config, stack)
+        transport = stack.enter_context(Transport())
+        resolver = _open_resolver(config, stack, transport)
         record = resolver.resolve(identifier)
         if download_to is not None:
-            resolve_to_bytes(identifier, resolver, _scheme_registry(resolver),
+            resolve_to_bytes(identifier, resolver,
+                             _scheme_registry(transport, resolver),
                              destination=download_to, record=record)
     if as_json:
         payload = record.to_json()
@@ -441,10 +447,11 @@ def link_record(ctx, output_id, input_ids, commit_ref, method_artifact,
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
     with ExitStack() as stack:
-        resolver = _open_resolver(config, stack)
+        transport = stack.enter_context(Transport())
+        resolver = _open_resolver(config, stack, transport)
         view = record_linkage(ledger, record, resolver)
         report = verify_chain(view, output_id, FULL_FIXITY, resolver,
-                              _scheme_registry(resolver))
+                              _scheme_registry(transport, resolver))
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
 
@@ -485,8 +492,9 @@ def link_verify(ctx, identifier, full, ledger_path, store_path,
     ledger = Ledger(Path(config.ledger))
     depth = FULL_FIXITY if full else RESOLVE_ONLY
     with ExitStack() as stack:
-        resolver = _open_resolver(config, stack)
-        schemes = _scheme_registry(resolver) if full else None
+        transport = stack.enter_context(Transport())
+        resolver = _open_resolver(config, stack, transport)
+        schemes = _scheme_registry(transport, resolver) if full else None
         report = verify_chain(ledger, identifier, depth, resolver, schemes)
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
@@ -509,9 +517,10 @@ def link_ci(ctx, ledger_path, store_path, report_path, as_json) -> None:
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
     with ExitStack() as stack:
-        resolver = _open_resolver(config, stack)
+        transport = stack.enter_context(Transport())
+        resolver = _open_resolver(config, stack, transport)
         status, report = ci_verify(ledger, resolver,
-                                   _scheme_registry(resolver),
+                                   _scheme_registry(transport, resolver),
                                    report_path=report_path)
     for diagnostic in report["ledger_diagnostics"]:
         click.echo(f"ledger: {diagnostic}", err=True)

@@ -71,6 +71,32 @@ class MaterializationReport:
         return all(o.outcome in (FETCHED, SKIPPED) for o in self.outcomes)
 
 
+class _TooLong(Exception):
+    """A transfer brought more bytes than its fetch.txt entry declares."""
+
+
+class _BoundedSink:
+    """A staging file that stops a transfer once it holds more bytes
+    than the entry declares: it keeps length + 1 and raises _TooLong."""
+
+    def __init__(self, path: Path, length: int) -> None:
+        self._file = open(path, "wb")
+        self._room = length + 1
+
+    def write(self, data: bytes) -> int:
+        kept = self._file.write(data[:self._room])
+        self._room -= kept
+        if not self._room:
+            raise _TooLong
+        return kept
+
+    def __enter__(self) -> "_BoundedSink":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+
 @contextmanager
 def _bag_lock(bag_dir: Path):
     lock_path = bag_dir / LOCK_FILE
@@ -165,11 +191,19 @@ def _materialize_one(entry: FetchEntry, bag: Bag, bag_dir: Path,
                      *, sleep: Sleeper) -> Outcome:
     token = hashlib.sha256(entry.path.encode("utf-8")).hexdigest()[:16]
     staging = workspace / f"{token}.part"
+
+    def open_sink():
+        if entry.length is None:
+            return open(staging, "wb")
+        return _BoundedSink(staging, entry.length)
+
     try:
         fetcher = registry.for_url(entry.url)
         try:
-            fetch_with_retries(fetcher, entry.url,
-                               lambda: open(staging, "wb"), sleep=sleep)
+            fetch_with_retries(fetcher, entry.url, open_sink, sleep=sleep)
+        except _TooLong:
+            return Outcome(entry.path, entry.url, LENGTH_MISMATCH,
+                           f"expected {entry.length} bytes, got more")
         except (TransferError, RegistryError, NotFoundError,
                 IdentifierError) as exc:
             # identifier-backed URLs can fail at resolution, not just

@@ -9,19 +9,18 @@ errors.
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from cuflinks.errors import (IdentifierError, IntegrityError, NotFoundError,
                              RegistryError, TransferError)
 from cuflinks.fileio import write_atomically
 from cuflinks.hashing import digest_bytes, digest_file
-from cuflinks.minid.model import ACTIVE, Checksum, MinidRecord, \
-    parse_identifier
-from cuflinks.transfer import DEFAULT_TIMEOUT, SchemeRegistry
-from cuflinks.version import USER_AGENT
+from cuflinks.minid.model import ACTIVE, MAX_BODY_BYTES, Checksum, \
+    MinidRecord, parse_identifier
+from cuflinks.transfer import SchemeRegistry, Transport
+
 
 class Resolver(Protocol):
     """Anything that can turn an identifier into its record."""
@@ -30,48 +29,80 @@ class Resolver(Protocol):
 
 
 class RegistryClient:
-    """Speaks the resolution API; duck-compatible with Registry reads."""
+    """Speaks the resolution API; duck-compatible with Registry reads.
+
+    Requests go through the given transport, or through one of the
+    client's own, which close() closes. A reply that should carry a
+    record but does not, or that is larger than MAX_BODY_BYTES, is a
+    RegistryError.
+    """
 
     def __init__(self, base_url: str, *, token: str | None = None,
-                 timeout: float = DEFAULT_TIMEOUT) -> None:
+                 transport: Transport | None = None) -> None:
         self.base_url = base_url.rstrip("/")
-        self.token = token
-        self.timeout = timeout
-        self._session = requests.Session()
-        self._session.headers["User-Agent"] = USER_AGENT
+        self._owned = Transport() if transport is None else None
+        self._transport = transport or self._owned
+        self._headers = ({} if token is None
+                         else {"Authorization": f"Bearer {token}"})
 
-    def _headers(self) -> dict[str, str]:
-        if self.token is None:
-            return {}
-        return {"Authorization": f"Bearer {self.token}"}
+    def close(self) -> None:
+        if self._owned is not None:
+            self._owned.close()
 
-    def _request(self, method: str, url: str, body: dict | None = None):
+    def __enter__(self) -> "RegistryClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _request(self, method: str, url: str, body: dict | None = None
+                 ) -> tuple[int, bytes]:
+        headers = dict(self._headers)
+        payload = None
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        status, data = self._transport.call(method, url, body=payload,
+                                            headers=headers,
+                                            limit=MAX_BODY_BYTES + 1)
+        if len(data) > MAX_BODY_BYTES:
+            raise RegistryError(
+                f"resolver's reply to {method} {url} exceeds "
+                f"{MAX_BODY_BYTES} bytes")
+        return status, data
+
+    def _record_or_raise(self, reply: tuple[int, bytes],
+                         identifier: str) -> MinidRecord:
+        status, data = reply
         try:
-            return self._session.request(method, url, json=body,
-                                         headers=self._headers(),
-                                         timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransferError(f"{method} {url} failed: {exc}") from exc
-
-    def _record_or_raise(self, response, identifier: str) -> MinidRecord:
-        if response.status_code in (200, 201, 410):
-            return MinidRecord.from_json(response.json())
-        try:
-            detail = response.json().get("detail", "")
-        except ValueError:
-            detail = response.text[:200]
-        if response.status_code == 400:
+            body = json.loads(data.decode("utf-8"))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            body = None
+        if status in (200, 201, 410):
+            if not isinstance(body, dict):
+                raise RegistryError(
+                    f"resolver answered {status} for {identifier} with a "
+                    f"body that is not a JSON object")
+            try:
+                return MinidRecord.from_json(body)
+            except (IdentifierError, LookupError, TypeError, ValueError,
+                    AttributeError) as exc:
+                raise RegistryError(
+                    f"resolver answered {status} for {identifier} with an "
+                    f"unusable record: {exc!r}") from exc
+        detail = (body.get("detail", "") if isinstance(body, dict)
+                  else data[:200].decode("utf-8", "replace"))
+        if status == 400:
             raise IdentifierError(detail or f"{identifier} is malformed")
-        if response.status_code == 404:
+        if status == 404:
             raise NotFoundError(detail or f"{identifier} not found")
         raise RegistryError(
-            f"resolver answered {response.status_code} for {identifier}: "
-            f"{detail}")
+            f"resolver answered {status} for {identifier}: {detail}")
 
     def resolve(self, identifier: str) -> MinidRecord:
         suffix = parse_identifier(identifier)
-        response = self._request("GET", f"{self.base_url}/{suffix}")
-        return self._record_or_raise(response, identifier)
+        return self._record_or_raise(
+            self._request("GET", f"{self.base_url}/{suffix}"), identifier)
 
     def mint(self, author: str, title: str,
              locations: tuple[str, ...] | list[str],
@@ -79,37 +110,38 @@ class RegistryClient:
         body = {"author": author, "title": title,
                 "locations": list(locations),
                 "checksum": checksum.to_json()}
-        response = self._request("POST", self.base_url, body)
-        return self._record_or_raise(response, "<new>")
+        return self._record_or_raise(
+            self._request("POST", self.base_url, body), "<new>")
 
     def update_locations(self, identifier: str, add: tuple[str, ...] = (),
                          remove: tuple[str, ...] = (), *,
                          actor: str = "") -> MinidRecord:
         suffix = parse_identifier(identifier)
         body = {"add": list(add), "remove": list(remove), "actor": actor}
-        response = self._request("PATCH", f"{self.base_url}/{suffix}", body)
-        return self._record_or_raise(response, identifier)
+        return self._record_or_raise(
+            self._request("PATCH", f"{self.base_url}/{suffix}", body),
+            identifier)
 
     def tombstone(self, identifier: str, *, actor: str = "") -> MinidRecord:
         suffix = parse_identifier(identifier)
-        response = self._request("PATCH", f"{self.base_url}/{suffix}",
-                                 {"tombstone": True, "actor": actor})
-        return self._record_or_raise(response, identifier)
+        return self._record_or_raise(
+            self._request("PATCH", f"{self.base_url}/{suffix}",
+                          {"tombstone": True, "actor": actor}), identifier)
 
     def supersede(self, identifier: str, by: str, *,
                   actor: str = "") -> MinidRecord:
         suffix = parse_identifier(identifier)
-        response = self._request("PATCH", f"{self.base_url}/{suffix}",
-                                 {"supersede_by": by, "actor": actor})
-        return self._record_or_raise(response, identifier)
+        return self._record_or_raise(
+            self._request("PATCH", f"{self.base_url}/{suffix}",
+                          {"supersede_by": by, "actor": actor}), identifier)
 
     def healthy(self) -> bool:
         base = self.base_url.rsplit("/", 1)[0]
         try:
-            response = self._request("GET", f"{base}/healthz")
-        except TransferError:
+            status, _ = self._request("GET", f"{base}/healthz")
+        except (TransferError, RegistryError):
             return False
-        return response.status_code == 200
+        return status == 200
 
 
 def resolve_to_bytes(identifier: str, resolver: Resolver,

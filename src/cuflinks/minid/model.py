@@ -21,6 +21,9 @@ ACTIVE = "active"
 TOMBSTONED = "tombstoned"
 SUPERSEDED = "superseded"
 
+# the largest request or reply body the resolution API carries
+MAX_BODY_BYTES = 1024 * 1024
+
 
 def parse_identifier(identifier: str) -> str:
     """Return the suffix of a well-formed identifier, or raise."""

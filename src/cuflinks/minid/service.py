@@ -11,9 +11,11 @@ Routes (JSON bodies, UTF-8):
 A store that cannot be read or written answers 500 registry-error on
 every /minid route. Writes require a bearer token when the server is
 given one. Reads never do. Request bodies are capped at MAX_BODY_BYTES
-(413 above it), and a connection that stays silent for REQUEST_TIMEOUT
-seconds is dropped. Threaded server: resolution keeps working while a
-mint is in flight, and the registry serializes writers internally.
+(413 above it). The service speaks HTTP/1.1 and keeps each connection
+open for the client's next request; a connection that stays silent for
+REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
+refused unread. Threaded server: resolution keeps working while a mint
+is in flight, and the registry serializes writers internally.
 """
 
 from __future__ import annotations
@@ -24,16 +26,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
                              NotFoundError, RegistryError)
-from cuflinks.minid.model import TOMBSTONED, Checksum, render_identifier
+from cuflinks.minid.model import (MAX_BODY_BYTES, TOMBSTONED, Checksum,
+                                  render_identifier)
 from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
-MAX_BODY_BYTES = 1024 * 1024
 REQUEST_TIMEOUT = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = USER_AGENT
+    protocol_version = "HTTP/1.1"
+    # headers and body go out as separate writes; without TCP_NODELAY
+    # a kept-alive connection waits on the peer's delayed ACK
+    disable_nagle_algorithm = True
     # per-connection socket timeout: a client that declares more body
     # than it sends frees its thread instead of holding it
     timeout = REQUEST_TIMEOUT
@@ -50,11 +56,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
     def _error(self, status: int, code: str, detail: str) -> None:
         self._send(status, {"error": code, "detail": detail})
+
+    def _refuse_unread(self, status: int, code: str, detail: str) -> None:
+        """Refuse a request whose body was not read, and end the
+        connection, so that the body is never taken for a request."""
+        self.close_connection = True
+        self._error(status, code, detail)
 
     def _identifier_from_path(self) -> str | None:
         """minid:<suffix> for a /minid/<suffix> path, else None."""
@@ -72,17 +86,25 @@ class _Handler(BaseHTTPRequestHandler):
         """
         if self.token is not None and (
                 self.headers.get("Authorization") != f"Bearer {self.token}"):
-            self._error(401, "unauthorized", "write requires a bearer token")
+            self._refuse_unread(401, "unauthorized",
+                                "write requires a bearer token")
             return None
         try:
+            if "Transfer-Encoding" in self.headers:
+                raise ValueError("a body needs a Content-Length")
             length = int(self.headers.get("Content-Length") or 0)
             if length < 0:
                 raise ValueError(f"negative Content-Length {length}")
-            if length > MAX_BODY_BYTES:
-                self._error(413, "too-large",
-                            f"body of {length} bytes exceeds the "
-                            f"{MAX_BODY_BYTES}-byte limit")
-                return None
+        except ValueError as exc:
+            self._refuse_unread(400, "bad-request",
+                                f"unusable request body: {exc}")
+            return None
+        if length > MAX_BODY_BYTES:
+            self._refuse_unread(413, "too-large",
+                                f"body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit")
+            return None
+        try:
             raw = self.rfile.read(length) if length else b""
             # ValueError covers JSONDecodeError and UnicodeDecodeError
             body = json.loads(raw.decode("utf-8")) if raw else {}
@@ -120,7 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         if self.path not in ("/minid", "/minid/"):
-            self._error(404, "no-route", f"no route for {self.path}")
+            self._refuse_unread(404, "no-route", f"no route for {self.path}")
             return
         body = self._write_body()
         if body is None:
@@ -143,7 +165,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_PATCH(self) -> None:
         identifier = self._identifier_from_path()
         if identifier is None:
-            self._error(404, "no-route", f"no route for {self.path}")
+            self._refuse_unread(404, "no-route", f"no route for {self.path}")
             return
         body = self._write_body()
         if body is None:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from cuflinks.transfer import default_registry
+
 FIXED_INSTANT = datetime(2026, 1, 15, 12, 0, 0, tzinfo=timezone.utc)
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -48,23 +50,28 @@ class CountingResolver:
 
 
 class FileServer:
-    """In-process HTTP server over a dict of {path: bytes}.
+    """In-process HTTP/1.1 server over a dict of {path: bytes}.
 
     Useful knobs for tests: replace content to simulate tampering, set
-    fail_next to refuse a number of requests, and read requests to see
-    exactly what was asked for.
+    fail_next to refuse a number of requests, map a path to a Location
+    in redirects, and read requests to see exactly what was asked for
+    and peers to see over which connections. Connections are kept alive.
     """
 
     def __init__(self) -> None:
         self.content: dict[str, bytes] = {}
         self.requests: list[str] = []
         self.headers_seen: list[dict] = []
+        self.peers: list[tuple[str, int]] = []
         self.fail_next: dict[str, int] = {}
+        self.redirects: dict[str, str] = {}
         self._lock = threading.Lock()
 
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def log_message(self, format: str, *args) -> None:
                 pass
 
@@ -72,12 +79,20 @@ class FileServer:
                 with server._lock:
                     server.requests.append(self.path)
                     server.headers_seen.append(dict(self.headers))
+                    server.peers.append(self.client_address)
                     failures = server.fail_next.get(self.path, 0)
                     if failures > 0:
                         server.fail_next[self.path] = failures - 1
                         self.send_error(503, "synthetic failure")
                         return
+                    location = server.redirects.get(self.path)
                     body = server.content.get(self.path)
+                if location is not None:
+                    self.send_response(302)
+                    self.send_header("Location", location)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
                 if body is None:
                     self.send_error(404, "no such fixture")
                     return
@@ -89,6 +104,8 @@ class FileServer:
                 self.wfile.write(body)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # closing does not wait for a client to drop its idle connection
+        self._httpd.block_on_close = False
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
         self._thread.start()
@@ -115,6 +132,13 @@ def file_server():
     server = FileServer()
     yield server
     server.close()
+
+
+@pytest.fixture
+def schemes():
+    """The http(s) scheme registry, closed after the test."""
+    with default_registry() as registry:
+        yield registry
 
 
 @pytest.fixture

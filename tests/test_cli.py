@@ -136,6 +136,42 @@ def test_resolve_fetch_flags_bad_content(runner, fig3_tree, tmp_path,
     assert "digest-mismatch" in result.output
 
 
+def test_resolve_fetch_workers_share_connections(runner, tmp_path,
+                                                 file_server):
+    source = tmp_path / "many"
+    source.mkdir()
+    for n in range(8):
+        (source / f"part{n}").write_bytes(f"part {n}\n".encode() * 100)
+    result = invoke(runner, ["bag", "create", str(source), "-o",
+                             str(tmp_path / "bags"), "--json"])
+    bag_dir = Path(json.loads(result.output)["bag"])
+    holes = []
+    for n in range(8):
+        body = (bag_dir / f"data/part{n}").read_bytes()
+        holes.append((f"data/part{n}", file_server.add(f"/part{n}", body),
+                      len(body)))
+    punch_holes(bag_dir, holes)
+
+    result = invoke(runner, ["bag", "resolve-fetch", str(bag_dir),
+                             "--parallelism", "4", "--json"])
+    report = json.loads(result.output)
+    assert [o["outcome"] for o in report["outcomes"]] == ["fetched"] * 8
+    assert sorted(file_server.requests) == [f"/part{n}" for n in range(8)]
+    # four workers, one transport: no more connections than workers
+    assert len(set(file_server.peers)) <= 4
+    invoke(runner, ["bag", "validate", str(bag_dir), "--full"])
+
+
+@pytest.mark.parametrize("reply", [b"{}", b"not json", b"[1]"])
+def test_unusable_resolver_reply_is_infrastructure_error(runner, reply,
+                                                         file_server):
+    file_server.add("/minid/fPTs86M7VTyb", reply)
+    result = invoke(runner, ["minid", "resolve", "minid:fPTs86M7VTyb"],
+                    expect=3, env={"CUFLINKS_RESOLVER_URL":
+                                   file_server.url("/minid")})
+    assert "resolver answered 200" in result.stderr
+
+
 def test_mint_and_resolve_with_local_store(runner, tmp_path):
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"registered content\n")
@@ -251,16 +287,17 @@ def test_registry_serve_stops_at_once_on_sigint(tmp_path):
     try:
         base_url = re.search(r"serving (\S+)",
                              child.stderr.readline()).group(1)
-        client = RegistryClient(base_url)
-        for _ in range(3):
-            record = client.mint("tester", "content",
-                                 ("http://127.0.0.1:1/x",),
-                                 Checksum("sha256", "0" * 64))
-            assert client.resolve(record.identifier) == record
-        child.send_signal(signal.SIGINT)
-        started = time.monotonic()
-        assert child.wait(timeout=2) == 0
-        assert time.monotonic() - started < 2
+        with RegistryClient(base_url) as client:
+            for _ in range(3):
+                record = client.mint("tester", "content",
+                                     ("http://127.0.0.1:1/x",),
+                                     Checksum("sha256", "0" * 64))
+                assert client.resolve(record.identifier) == record
+            # the client's kept-alive connection is open and idle here
+            child.send_signal(signal.SIGINT)
+            started = time.monotonic()
+            assert child.wait(timeout=2) == 0
+            assert time.monotonic() - started < 2
     finally:
         watchdog.cancel()
         child.kill()

@@ -2,6 +2,7 @@
 
 import fcntl
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from cuflinks.fetch import (DIGEST_MISMATCH, FETCHED, LENGTH_MISMATCH,
                             LOCK_FILE, SKIPPED, TRANSFER_ERROR,
                             WORKSPACE_DIR, materialize)
 from cuflinks.minid import MinidFetcher, Registry, checksum_of_file
-from cuflinks.transfer import default_registry
 
 from test_bag import tree_files
 
@@ -60,9 +60,9 @@ def test_completeness_check(holey_bag):
     assert report.paths(FETCH_PENDING) == ("data/file1", "data/file2")
 
 
-def test_materialize_all(holey_bag, fig3_tree):
+def test_materialize_all(holey_bag, fig3_tree, schemes):
     source, _ = fig3_tree
-    report = materialize(holey_bag, registry=default_registry())
+    report = materialize(holey_bag, registry=schemes)
     assert report.ok
     assert outcome_map(report) == {"data/file1": FETCHED,
                                    "data/file2": FETCHED}
@@ -74,9 +74,9 @@ def test_materialize_all(holey_bag, fig3_tree):
     assert not (holey_bag / WORKSPACE_DIR).exists()
 
 
-def test_materialize_selection(holey_bag):
+def test_materialize_selection(holey_bag, schemes):
     report = materialize(holey_bag, selection=("data/file2",),
-                         registry=default_registry())
+                         registry=schemes)
     assert outcome_map(report) == {"data/file1": SKIPPED,
                                    "data/file2": FETCHED}
     fetch_text = (holey_bag / "fetch.txt").read_text()
@@ -84,17 +84,17 @@ def test_materialize_selection(holey_bag):
     assert "data/file2" not in fetch_text
 
 
-def test_materialize_unknown_selection(holey_bag):
+def test_materialize_unknown_selection(holey_bag, schemes):
     with pytest.raises(ValueError):
         materialize(holey_bag, selection=("data/ghost",),
-                    registry=default_registry())
+                    registry=schemes)
 
 
-def test_tampered_content_never_lands(holey_bag, file_server):
+def test_tampered_content_never_lands(holey_bag, file_server, schemes):
     before = bag_files(holey_bag)
     file_server.content["/file1"] = b"EVIL BYTES, RIGHT LENGTH??"[:19]
     file_server.content["/file2"] = b"ALSO WRONG CONTENT HERE!!!!!"
-    report = materialize(holey_bag, registry=default_registry())
+    report = materialize(holey_bag, registry=schemes)
     assert not report.ok
     outcomes = outcome_map(report)
     assert outcomes["data/file1"] == DIGEST_MISMATCH
@@ -104,18 +104,42 @@ def test_tampered_content_never_lands(holey_bag, file_server):
     assert "md5" in detail and "sha256" in detail
 
 
-def test_wrong_length_rejected_before_digest(holey_bag, file_server):
+def test_wrong_length_rejected_before_digest(holey_bag, file_server, schemes):
     file_server.content["/file1"] = b"short"
     report = materialize(holey_bag, selection=("data/file1",),
-                         registry=default_registry())
+                         registry=schemes)
     assert outcome_map(report)["data/file1"] == LENGTH_MISMATCH
     assert not (holey_bag / "data" / "file1").exists()
 
 
-def test_transfer_failure_retries_then_reports(holey_bag, file_server):
+def test_overlong_body_stops_past_the_declared_length(holey_bag, file_server,
+                                                     schemes, monkeypatch):
+    declared = len(file_server.content["/file1"])
+    file_server.content["/file1"] = b"x" * (4 * 1024 * 1024)
+    staged = []
+    unlink = Path.unlink
+
+    def recording_unlink(path, missing_ok=False):
+        if path.suffix == ".part" and path.exists():
+            staged.append(path.stat().st_size)
+        unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", recording_unlink)
+    report = materialize(holey_bag, registry=schemes)
+    outcomes = outcome_map(report)
+    assert outcomes["data/file1"] == LENGTH_MISMATCH
+    assert outcomes["data/file2"] == FETCHED
+    assert staged == [declared + 1]
+    assert file_server.requests == ["/file1", "/file2"]  # no retry
+    # the connection left mid-body is closed, not used again
+    assert len(set(file_server.peers)) == 2
+
+
+def test_transfer_failure_retries_then_reports(holey_bag, file_server,
+                                               schemes):
     file_server.fail_next["/file1"] = 99
     sleeps = []
-    report = materialize(holey_bag, registry=default_registry(),
+    report = materialize(holey_bag, registry=schemes,
                          sleep=sleeps.append)
     outcomes = outcome_map(report)
     assert outcomes["data/file1"] == TRANSFER_ERROR
@@ -128,15 +152,15 @@ def test_transfer_failure_retries_then_reports(holey_bag, file_server):
     assert "data/file2" not in fetch_text
 
 
-def test_flaky_server_recovers_within_retries(holey_bag, file_server):
+def test_flaky_server_recovers_within_retries(holey_bag, file_server, schemes):
     file_server.fail_next["/file1"] = 2
-    report = materialize(holey_bag, registry=default_registry(),
+    report = materialize(holey_bag, registry=schemes,
                          sleep=lambda _: None)
     assert report.ok
 
 
 def test_unregistered_scheme_fails_before_any_transfer(
-        tmp_path, fixed_clock, file_server):
+        tmp_path, fixed_clock, file_server, schemes):
     source = tmp_path / "source"
     source.mkdir()
     for name in ("a", "b", "c"):
@@ -149,44 +173,45 @@ def test_unregistered_scheme_fails_before_any_transfer(
         ("data/c", "globus://endpoint/c", 3),
     ])
     with pytest.raises(SchemeError):
-        materialize(bag_dir, registry=default_registry())
+        materialize(bag_dir, registry=schemes)
     assert file_server.requests == []  # pre-check beat every transfer
 
 
-def test_invalid_bag_refused(holey_bag):
+def test_invalid_bag_refused(holey_bag, schemes):
     (holey_bag / "data" / "intruder").write_bytes(b"?")
     with pytest.raises(ValidationError):
-        materialize(holey_bag, registry=default_registry())
+        materialize(holey_bag, registry=schemes)
 
 
-def test_lock_contention(holey_bag):
+def test_lock_contention(holey_bag, schemes):
     lock_path = holey_bag / LOCK_FILE
     handle = open(lock_path, "w")
     fcntl.flock(handle, fcntl.LOCK_EX)
     try:
         with pytest.raises(LockError):
-            materialize(holey_bag, registry=default_registry())
+            materialize(holey_bag, registry=schemes)
     finally:
         fcntl.flock(handle, fcntl.LOCK_UN)
         handle.close()
 
 
-def test_materialize_nothing_pending(fig3_tree, fixed_clock, tmp_path):
+def test_materialize_nothing_pending(fig3_tree, fixed_clock, tmp_path,
+                                     schemes):
     source, _ = fig3_tree
     bag_dir = write_bag(create_bag(source, clock=fixed_clock,
                                    root_name="full"), tmp_path / "bags")
-    report = materialize(bag_dir, registry=default_registry())
+    report = materialize(bag_dir, registry=schemes)
     assert report.ok and report.outcomes == ()
 
 
-def test_parallel_materialize(holey_bag):
-    report = materialize(holey_bag, registry=default_registry(),
+def test_parallel_materialize(holey_bag, schemes):
+    report = materialize(holey_bag, registry=schemes,
                          parallelism=4)
     assert report.ok
 
 
 def test_identifier_backed_entry(fig3_tree, fixed_clock, tmp_path,
-                                 file_server):
+                                 file_server, schemes):
     """fetch.txt can point at an identifier instead of a raw URL; the
     identifier's own checksum is enforced on top of the manifests."""
     source, metadata = fig3_tree
@@ -201,7 +226,6 @@ def test_identifier_backed_entry(fig3_tree, fixed_clock, tmp_path,
                            checksum_of_file(source / "file1"))
     punch_holes(bag_dir, [("data/file1", record.identifier, len(body))])
 
-    schemes = default_registry()
     schemes.register("minid", MinidFetcher(registry, schemes))
     report = materialize(bag_dir, registry=schemes)
     assert report.ok
@@ -211,7 +235,7 @@ def test_identifier_backed_entry(fig3_tree, fixed_clock, tmp_path,
 
 
 def test_identifier_checksum_mismatch_is_integrity_failure(
-        fig3_tree, fixed_clock, tmp_path, file_server):
+        fig3_tree, fixed_clock, tmp_path, file_server, schemes):
     """The registry's checksum and the bag manifests are two independent
     gates; content failing the registry one is a digest mismatch even
     when the server matches what the bag expects."""
@@ -228,7 +252,6 @@ def test_identifier_checksum_mismatch_is_integrity_failure(
                            Checksum("sha256", "f" * 64))  # wrong claim
     punch_holes(bag_dir, [("data/file1", record.identifier, len(body))])
 
-    schemes = default_registry()
     schemes.register("minid", MinidFetcher(registry, schemes))
     report = materialize(bag_dir, registry=schemes, sleep=lambda _: None)
     assert outcome_map(report)["data/file1"] == DIGEST_MISMATCH

@@ -16,7 +16,6 @@ from cuflinks.links.chain import (BROKEN, FIXITY_MATCH, FIXITY_MISMATCH,
                                   FIXITY_UNVERIFIABLE, FULL_FIXITY,
                                   INTACT, RESOLVE_ONLY)
 from cuflinks.minid import Checksum, Registry, checksum_of_file
-from cuflinks.transfer import default_registry
 
 from conftest import FIXED_INSTANT, CountingResolver
 
@@ -309,7 +308,8 @@ def test_verify_flags_unminted_node(tmp_path):
     assert "does not resolve" in node.detail
 
 
-def test_verify_full_fixity_against_real_content(tmp_path, file_server):
+def test_verify_full_fixity_against_real_content(tmp_path, file_server,
+                                                 schemes):
     registry = Registry.open(tmp_path / "registry.log")
     body = b"stage zero bytes\n"
     url = file_server.add("/d0", body)
@@ -328,7 +328,6 @@ def test_verify_full_fixity_against_real_content(tmp_path, file_server):
     declare_root(ledger, d0, actor="t")
     record_linkage(ledger, linkage(d1, (d0,)), registry)
 
-    schemes = default_registry()
     report = verify_chain(ledger, d1, FULL_FIXITY, registry, schemes)
     assert report.verdict == INTACT
     assert {n.fixity for n in report.nodes} == {FIXITY_MATCH}
@@ -359,7 +358,7 @@ def test_verify_report_json_shape(tmp_path):
     json.dumps(body)  # fully serializable
 
 
-def test_ci_verify(tmp_path, file_server):
+def test_ci_verify(tmp_path, file_server, schemes):
     registry = Registry.open(tmp_path / "registry.log")
     bodies = {name: f"{name} bytes\n".encode() for name in "abc"}
     minted = {}
@@ -375,7 +374,7 @@ def test_ci_verify(tmp_path, file_server):
     record_linkage(ledger, linkage(minted["c"], (minted["a"],)), registry)
 
     report_path = tmp_path / "report.json"
-    status, report = ci_verify(ledger, registry, default_registry(),
+    status, report = ci_verify(ledger, registry, schemes,
                                report_path=report_path)
     assert status == 0
     assert report["verdict"] == INTACT
@@ -385,7 +384,7 @@ def test_ci_verify(tmp_path, file_server):
     assert on_disk == report
 
     registry.tombstone(minted["b"], actor="t")
-    status, report = ci_verify(ledger, registry, default_registry())
+    status, report = ci_verify(ledger, registry, schemes)
     assert status == 1
     assert report["verdict"] == BROKEN
     broken = [c for c in report["chains"] if c["verdict"] == BROKEN]
@@ -394,7 +393,7 @@ def test_ci_verify(tmp_path, file_server):
     registry.close()
 
 
-def test_ci_verify_reports_a_cycle_no_terminal_reaches(tmp_path):
+def test_ci_verify_reports_a_cycle_no_terminal_reaches(tmp_path, schemes):
     a, b, c, d = ids(4)
     ledger = Ledger(tmp_path / "chain.jsonl")
     resolver = FakeResolver(known=(a, b, c, d))
@@ -404,7 +403,7 @@ def test_ci_verify_reports_a_cycle_no_terminal_reaches(tmp_path):
     assert ledger.load().terminal_outputs() == ()
 
     def chains():
-        status, report = ci_verify(ledger, resolver, default_registry())
+        status, report = ci_verify(ledger, resolver, schemes)
         assert (status, report["verdict"]) == (1, BROKEN)
         return [(chain["start"], chain["verdict"], chain["failing"])
                 for chain in report["chains"]]
@@ -438,19 +437,18 @@ def shared_ancestry(tmp_path, file_server):
     return registry, ledger, minted
 
 
-def test_ci_verify_checks_each_node_once(tmp_path, file_server):
+def test_ci_verify_checks_each_node_once(tmp_path, file_server, schemes):
     registry, ledger, minted = shared_ancestry(tmp_path, file_server)
     resolver = CountingResolver(registry)
     file_server.requests.clear()
     report_path = tmp_path / "report.json"
-    status, report = ci_verify(ledger, resolver, default_registry(),
+    status, report = ci_verify(ledger, resolver, schemes,
                                report_path=report_path)
     assert status == 0
     assert sorted(file_server.requests) == [f"/{name}" for name in "abcde"]
     assert sorted(resolver.calls) == sorted(minted.values())
 
     # the same report, byte for byte, as checking each chain on its own
-    schemes = default_registry()
     independent = {
         "verdict": INTACT,
         "chains": [verify_chain(ledger, output, FULL_FIXITY, registry,
@@ -466,10 +464,9 @@ def test_ci_verify_checks_each_node_once(tmp_path, file_server):
 
 
 def test_ci_verify_shares_failures_but_not_across_sweeps(tmp_path,
-                                                         file_server):
+                                                         file_server, schemes):
     registry, ledger, minted = shared_ancestry(tmp_path, file_server)
     root = minted["a"]
-    schemes = default_registry()
     original = file_server.content["/a"]
 
     file_server.content["/a"] = b"swapped out from under the registry"
@@ -499,17 +496,19 @@ def test_ci_verify_shares_failures_but_not_across_sweeps(tmp_path,
 
 
 @pytest.mark.parametrize("depth", [RESOLVE_ONLY, FULL_FIXITY])
-def test_verify_chain_resolves_each_node_once(tmp_path, file_server, depth):
+def test_verify_chain_resolves_each_node_once(tmp_path, file_server, depth,
+                                              schemes):
     registry, ledger, minted = shared_ancestry(tmp_path, file_server)
     resolver = CountingResolver(registry)
-    schemes = default_registry() if depth == FULL_FIXITY else None
+    schemes = schemes if depth == FULL_FIXITY else None
     report = verify_chain(ledger, minted["d"], depth, resolver, schemes)
     assert report.verdict == INTACT
     assert sorted(resolver.calls) == sorted(minted[n] for n in "abcd")
     registry.close()
 
 
-def test_ci_report_replaces_file_whole(tmp_path, file_server, monkeypatch):
+def test_ci_report_replaces_file_whole(tmp_path, file_server, monkeypatch,
+                                       schemes):
     registry, ledger, minted = shared_ancestry(tmp_path, file_server)
     reports = tmp_path / "reports"
     reports.mkdir()
@@ -521,7 +520,7 @@ def test_ci_report_replaces_file_whole(tmp_path, file_server, monkeypatch):
 
     monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(OSError, match="simulated crash"):
-        ci_verify(ledger, registry, default_registry(),
+        ci_verify(ledger, registry, schemes,
                   report_path=report_path)
     assert report_path.read_bytes() == b"previous report\n"
     assert os.listdir(reports) == ["report.json"]

@@ -17,7 +17,6 @@ from cuflinks.minid import (Checksum, EventLog, MinidRecord, Registry,
                             parse_identifier, render_identifier,
                             resolve_to_bytes)
 from cuflinks.minid import store
-from cuflinks.transfer import default_registry
 
 from conftest import FIXED_INSTANT, CountingResolver
 
@@ -396,35 +395,37 @@ def mint_served(registry, file_server, path, body) -> MinidRecord:
                 checksum=Checksum("sha256", hashlib.sha256(body).hexdigest()))
 
 
-def test_resolve_to_bytes_resolves_without_a_record(registry, file_server):
+def test_resolve_to_bytes_resolves_without_a_record(registry, file_server,
+                                                    schemes):
     record = mint_served(registry, file_server, "/blob", b"blob bytes\n")
     resolver = CountingResolver(registry)
     content, returned = resolve_to_bytes(record.identifier, resolver,
-                                         default_registry())
+                                         schemes)
     assert content == b"blob bytes\n"
     assert returned == record
     assert resolver.calls == [record.identifier]
 
 
-def test_resolve_to_bytes_trusts_a_given_record(registry, file_server):
+def test_resolve_to_bytes_trusts_a_given_record(registry, file_server,
+                                                schemes):
     record = mint_served(registry, file_server, "/blob", b"blob bytes\n")
     resolver = CountingResolver(registry)
     content, _ = resolve_to_bytes(record.identifier, resolver,
-                                  default_registry(), record=record)
+                                  schemes, record=record)
     assert content == b"blob bytes\n"
     assert resolver.calls == []
 
     tombstoned = registry.tombstone(record.identifier, actor="tester")
     file_server.requests.clear()
     with pytest.raises(RegistryError, match="tombstoned"):
-        resolve_to_bytes(record.identifier, resolver, default_registry(),
+        resolve_to_bytes(record.identifier, resolver, schemes,
                          record=tombstoned)
     assert resolver.calls == []
     assert file_server.requests == []
 
 
 def test_download_replaces_destination_whole(registry, file_server,
-                                             tmp_path, monkeypatch):
+                                             tmp_path, monkeypatch, schemes):
     record = mint_served(registry, file_server, "/blob", b"new bytes\n")
     target = tmp_path / "out" / "blob.bin"
     target.parent.mkdir()
@@ -435,14 +436,14 @@ def test_download_replaces_destination_whole(registry, file_server,
 
     monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(OSError, match="simulated crash"):
-        resolve_to_bytes(record.identifier, registry, default_registry(),
+        resolve_to_bytes(record.identifier, registry, schemes,
                          destination=target)
     assert target.read_bytes() == b"old bytes\n"
     assert os.listdir(target.parent) == ["blob.bin"]
 
     monkeypatch.undo()
     content, _ = resolve_to_bytes(record.identifier, registry,
-                                  default_registry(), destination=target)
+                                  schemes, destination=target)
     assert content is None
     assert target.read_bytes() == b"new bytes\n"
     assert os.listdir(target.parent) == ["blob.bin"]
@@ -450,12 +451,12 @@ def test_download_replaces_destination_whole(registry, file_server,
 
 def test_download_of_mismatched_content_creates_no_file(registry,
                                                         file_server,
-                                                        tmp_path):
+                                                        tmp_path, schemes):
     record = mint_served(registry, file_server, "/blob", b"registered\n")
     file_server.content["/blob"] = b"swapped\n"
     target = tmp_path / "out" / "blob.bin"
     target.parent.mkdir()
     with pytest.raises(IntegrityError):
-        resolve_to_bytes(record.identifier, registry, default_registry(),
+        resolve_to_bytes(record.identifier, registry, schemes,
                          destination=target)
     assert os.listdir(target.parent) == []

@@ -15,6 +15,7 @@ from cuflinks.errors import (IdentifierError, NotFoundError, RegistryError,
 from cuflinks.minid import (Checksum, Registry, RegistryClient,
                             RegistryServer)
 from cuflinks.minid import store
+from cuflinks.minid.model import MAX_BODY_BYTES
 
 from conftest import FIXED_INSTANT
 
@@ -33,7 +34,8 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return RegistryClient(server.base_url)
+    with RegistryClient(server.base_url) as opened:
+        yield opened
 
 
 def mint(client) -> str:
@@ -123,25 +125,35 @@ def test_conflict_states_are_409(client):
 
 def test_healthy_probe(client, server):
     assert client.healthy()
-    unreachable = RegistryClient("http://127.0.0.1:1/minid", timeout=0.2)
-    assert not unreachable.healthy()
+    with RegistryClient("http://127.0.0.1:1/minid") as unreachable:
+        assert not unreachable.healthy()
 
 
 def test_client_wraps_connection_errors():
-    client = RegistryClient("http://127.0.0.1:1/minid", timeout=0.2)
-    with pytest.raises(TransferError):
+    with RegistryClient("http://127.0.0.1:1/minid") as client, \
+            pytest.raises(TransferError):
+        client.resolve("minid:fPTs86M7VTyb")
+
+
+@pytest.mark.parametrize("reply", [
+    b"{}", b"not json", b"[1]", b"\xff",
+    json.dumps({"padding": "x" * MAX_BODY_BYTES}).encode()])
+def test_unusable_reply_is_a_registry_error(file_server, reply):
+    file_server.add("/minid/fPTs86M7VTyb", reply)
+    with RegistryClient(file_server.url("/minid")) as client, \
+            pytest.raises(RegistryError):
         client.resolve("minid:fPTs86M7VTyb")
 
 
 def test_write_token_enforced(tmp_path):
     registry = Registry.open(tmp_path / "registry.log")
-    with RegistryServer(registry, token="sesame") as server:
-        anonymous = RegistryClient(server.base_url)
+    with RegistryServer(registry, token="sesame") as server, \
+            RegistryClient(server.base_url) as anonymous, \
+            RegistryClient(server.base_url, token="sesame") as trusted:
         with pytest.raises(RegistryError) as excinfo:
             anonymous.mint("t", "c", (URL,), Checksum("sha256", SHA))
         assert "401" in str(excinfo.value) or "unauthorized" in str(
             excinfo.value)
-        trusted = RegistryClient(server.base_url, token="sesame")
         identifier = trusted.mint("t", "c", (URL,),
                                   Checksum("sha256", SHA)).identifier
         # reads stay open
@@ -149,6 +161,26 @@ def test_write_token_enforced(tmp_path):
         with pytest.raises(RegistryError):
             anonymous.tombstone(identifier, actor="t")
     registry.close()
+
+
+def test_refused_body_is_never_read_as_a_request(tmp_path):
+    """A write refused before its body is read ends the connection:
+    a request smuggled in the body is never answered."""
+    import socket
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n"
+    registry = Registry.open(tmp_path / "registry.log")
+    with RegistryServer(registry, token="sesame") as server, \
+            socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /minid HTTP/1.1\r\nHost: registry\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(smuggled)
+                     + smuggled)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    registry.close()
+    assert reply.startswith(b"HTTP/1.1 401 ")
+    assert reply.count(b"HTTP/1.1") == 1
+    assert b"connection: close" in reply.lower()
 
 
 def test_post_with_bad_body_is_400(server):
@@ -165,28 +197,29 @@ def test_post_with_bad_body_is_400(server):
     assert body["error"] == "bad-request"
 
 
-@pytest.mark.parametrize("length,status", [("-1", 400),
-                                           ("99999999", 413)])
-def test_unusable_content_length_is_refused(server, length, status):
+@pytest.mark.parametrize("header,status", [
+    pytest.param("Content-Length: -1", 400, id="-1-400"),
+    pytest.param("Content-Length: 99999999", 413, id="99999999-413"),
+    pytest.param("Transfer-Encoding: chunked", 400, id="chunked-400")])
+def test_unusable_content_length_is_refused(server, header, status):
     import socket
     with socket.create_connection(server.address, timeout=2) as sock:
         sock.sendall(f"POST /minid HTTP/1.1\r\nHost: registry\r\n"
-                     f"Content-Length: {length}\r\n\r\n".encode())
+                     f"{header}\r\n\r\n".encode())
         reply = sock.recv(4096)
-    assert reply.startswith(f"HTTP/1.0 {status} ".encode())
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode())
 
 
-def test_concurrent_mints_over_http(server):
+def test_concurrent_mints_over_http(server, client):
     import threading
-    client = RegistryClient(server.base_url)
     minted: list[str] = []
     errors: list[Exception] = []
 
     def work():
         try:
-            local = RegistryClient(server.base_url)
-            for _ in range(10):
-                minted.append(mint_one(local))
+            with RegistryClient(server.base_url) as local:
+                for _ in range(10):
+                    minted.append(mint_one(local))
         except Exception as exc:  # noqa: BLE001 - surface in main thread
             errors.append(exc)
 
@@ -266,24 +299,24 @@ def test_reads_racing_updates_end_at_the_last_acknowledged_one(tmp_path):
     done = threading.Event()
 
     def read():
-        reader = RegistryClient(server.base_url)
-        while not done.is_set():
-            try:
-                reader.resolve(identifier)
-            except Exception as exc:  # noqa: BLE001 - surface in main thread
-                errors.append(exc)
-                return
+        with RegistryClient(server.base_url) as reader:
+            while not done.is_set():
+                try:
+                    reader.resolve(identifier)
+                except Exception as exc:  # noqa: BLE001 - checked below
+                    errors.append(exc)
+                    return
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside builds too
     try:
         # a fresh open: the first reads build the record as updates commit
         with Registry.open(path) as registry, \
-                RegistryServer(registry) as server:
+                RegistryServer(registry) as server, \
+                RegistryClient(server.base_url) as writer:
             readers = [threading.Thread(target=read) for _ in range(3)]
             for thread in readers:
                 thread.start()
-            writer = RegistryClient(server.base_url)
             for n in range(20):
                 last = writer.update_locations(
                     identifier, add=(f"https://mirror.org/{n}",), actor="t")

@@ -1,6 +1,9 @@
 """Rules the package source keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuflinks"
@@ -64,3 +67,34 @@ def test_no_unused_imports_in_the_package():
                      for name, line in _imported_names(tree).items()
                      if name not in used)
     assert found == []
+
+
+def test_no_third_party_imports_but_click():
+    """The package runs on the standard library plus click."""
+    allowed = set(sys.stdlib_module_names) | {"cuflinks", "click"}
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found.extend(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                         for name in modules
+                         if name.partition(".")[0] not in allowed)
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_http_library():
+    """HTTP goes through the standard library's http.client."""
+    code = ("import sys, cuflinks.cli; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ,
+                                 "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.stdout.strip() == "[]"
