@@ -75,6 +75,10 @@ class RegistryError(CuflinksError):
     """The registry rejected an operation (state rules, bad arguments)."""
 
 
+class RecordTooLargeError(RegistryError):
+    """A write would leave a record larger than a reply can carry."""
+
+
 class StoreError(CuflinksError):
     """The append-only store could not be opened or written."""
 

@@ -31,29 +31,17 @@ class Resolver(Protocol):
 class RegistryClient:
     """Speaks the resolution API; duck-compatible with Registry reads.
 
-    Requests go through the given transport, or through one of the
-    client's own, which close() closes. A reply that should carry a
-    record but does not, or that is larger than MAX_BODY_BYTES, is a
-    RegistryError.
+    Requests go through the given transport, which the caller closes.
+    A reply that should carry a record but does not, or that is larger
+    than MAX_BODY_BYTES, is a RegistryError.
     """
 
-    def __init__(self, base_url: str, *, token: str | None = None,
-                 transport: Transport | None = None) -> None:
+    def __init__(self, base_url: str, *, transport: Transport,
+                 token: str | None = None) -> None:
         self.base_url = base_url.rstrip("/")
-        self._owned = Transport() if transport is None else None
-        self._transport = transport or self._owned
+        self._transport = transport
         self._headers = ({} if token is None
                          else {"Authorization": f"Bearer {token}"})
-
-    def close(self) -> None:
-        if self._owned is not None:
-            self._owned.close()
-
-    def __enter__(self) -> "RegistryClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _request(self, method: str, url: str, body: dict | None = None
                  ) -> tuple[int, bytes]:

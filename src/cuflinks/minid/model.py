@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import secrets
 from dataclasses import dataclass, replace
@@ -23,6 +24,9 @@ SUPERSEDED = "superseded"
 
 # the largest request or reply body the resolution API carries
 MAX_BODY_BYTES = 1024 * 1024
+# the largest record a mint or a location update may leave; the rest of
+# a reply body is room for the tombstone or supersession that follows
+MAX_RECORD_BYTES = MAX_BODY_BYTES - 4096
 
 
 def parse_identifier(identifier: str) -> str:
@@ -120,6 +124,10 @@ class MinidRecord:
             "checksum": self.checksum.to_json(),
             "status": status,
         }
+
+    def rendered_size(self) -> int:
+        """Bytes in the record's JSON, as the service sends it."""
+        return len(json.dumps(self.to_json(), sort_keys=True))
 
     @classmethod
     def from_json(cls, body: dict) -> "MinidRecord":

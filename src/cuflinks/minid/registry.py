@@ -22,8 +22,10 @@ from typing import Callable
 from urllib.parse import urlsplit
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
-                             NotFoundError, RegistryError, StoreError)
-from cuflinks.minid.model import (ACTIVE, SUPERSEDED, TOMBSTONED, Checksum,
+                             NotFoundError, RecordTooLargeError,
+                             RegistryError, StoreError)
+from cuflinks.minid.model import (ACTIVE, MAX_BODY_BYTES, MAX_RECORD_BYTES,
+                                  SUPERSEDED, TOMBSTONED, Checksum,
                                   MinidRecord, is_valid_identifier,
                                   new_suffix, parse_identifier,
                                   render_identifier)
@@ -58,6 +60,16 @@ def _timestamp(clock: Clock) -> str:
         raise ValueError("clock must return timezone-aware datetimes")
     return (now.astimezone(timezone.utc)
             .isoformat(timespec="seconds").replace("+00:00", "Z"))
+
+
+def _require_fits(record: MinidRecord, limit: int) -> None:
+    """Refuse a write that would leave record larger than limit bytes,
+    so that every record the registry holds fits a reply body."""
+    size = record.rendered_size()
+    if size > limit:
+        raise RecordTooLargeError(
+            f"{record.identifier} would take {size} bytes, over the "
+            f"{limit}-byte limit")
 
 
 def _op_and_suffix(payload: bytes) -> tuple[str, str] | None:
@@ -237,7 +249,7 @@ class Registry:
                 suffix = new_suffix()
             else:
                 raise RegistryError("could not find a free suffix")
-            return self._commit({
+            event = {
                 "op": MINTED,
                 "suffix": suffix,
                 "author": author,
@@ -245,7 +257,9 @@ class Registry:
                 "title": title,
                 "locations": list(locations),
                 "checksum": checksum.to_json(),
-            })
+            }
+            _require_fits(_applied(None, event), MAX_RECORD_BYTES)
+            return self._commit(event)
 
     def update_locations(self, identifier: str, add: tuple[str, ...] = (),
                          remove: tuple[str, ...] = (), *,
@@ -268,6 +282,8 @@ class Registry:
             if not outcome:
                 raise RegistryError(
                     f"update would leave {identifier} with no locations")
+            _require_fits(record.with_locations(tuple(outcome)),
+                          MAX_RECORD_BYTES)
             suffix = parse_identifier(identifier)
             # additions first: every replay prefix keeps >=1 location
             for location in add:
@@ -290,6 +306,7 @@ class Registry:
                 raise RegistryError(
                     f"{identifier} is superseded; tombstoning would drop "
                     f"the successor pointer")
+            # no size check: MAX_RECORD_BYTES left room for the status
             return self._commit({
                 "op": "tombstoned", "suffix": parse_identifier(identifier),
                 "actor": actor, "at": _timestamp(self.clock)})
@@ -327,6 +344,8 @@ class Registry:
                 if next_record is None or next_record.superseded_by is None:
                     break
                 cursor = next_record.superseded_by
+            _require_fits(replace(record, status=SUPERSEDED,
+                                  superseded_by=by), MAX_BODY_BYTES)
             return self._commit({
                 "op": "superseded", "suffix": parse_identifier(identifier),
                 "by": by, "actor": actor, "at": _timestamp(self.clock)})

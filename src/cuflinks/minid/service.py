@@ -10,8 +10,10 @@ Routes (JSON bodies, UTF-8):
 
 A store that cannot be read or written answers 500 registry-error on
 every /minid route. Writes require a bearer token when the server is
-given one. Reads never do. Request bodies are capped at MAX_BODY_BYTES
-(413 above it). The service speaks HTTP/1.1 and keeps each connection
+given one. Reads never do, and a GET carrying a body is refused (400).
+Request bodies are capped at MAX_BODY_BYTES, and a write that would
+leave a record larger than a reply can carry is refused too (413 for
+both). The service speaks HTTP/1.1 and keeps each connection
 open for the client's next request; a connection that stays silent for
 REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
 refused unread. Threaded server: resolution keeps working while a mint
@@ -25,7 +27,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
-                             NotFoundError, RegistryError)
+                             NotFoundError, RecordTooLargeError,
+                             RegistryError)
 from cuflinks.minid.model import (MAX_BODY_BYTES, TOMBSTONED, Checksum,
                                   render_identifier)
 from cuflinks.minid.registry import Registry
@@ -77,6 +80,21 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return render_identifier(self.path[len(prefix):])
 
+    def _body_length(self) -> int | None:
+        """The declared length of the request body; None once a 400 for
+        an unusable Content-Length or a chunked body has been sent."""
+        try:
+            if "Transfer-Encoding" in self.headers:
+                raise ValueError("a body needs a Content-Length")
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+        except ValueError as exc:
+            self._refuse_unread(400, "bad-request",
+                                f"unusable request body: {exc}")
+            return None
+        return length
+
     def _write_body(self) -> dict | None:
         """The JSON object a write request carries.
 
@@ -89,15 +107,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._refuse_unread(401, "unauthorized",
                                 "write requires a bearer token")
             return None
-        try:
-            if "Transfer-Encoding" in self.headers:
-                raise ValueError("a body needs a Content-Length")
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0:
-                raise ValueError(f"negative Content-Length {length}")
-        except ValueError as exc:
-            self._refuse_unread(400, "bad-request",
-                                f"unusable request body: {exc}")
+        length = self._body_length()
+        if length is None:
             return None
         if length > MAX_BODY_BYTES:
             self._refuse_unread(413, "too-large",
@@ -118,6 +129,12 @@ class _Handler(BaseHTTPRequestHandler):
     # --- methods ---------------------------------------------------------
 
     def do_GET(self) -> None:
+        length = self._body_length()
+        if length is None:
+            return
+        if length:
+            self._refuse_unread(400, "bad-request", "a GET carries no body")
+            return
         if self.path == "/healthz":
             self._send(200, {"status": "ok",
                              "identifiers": len(self.registry)})
@@ -157,6 +174,9 @@ class _Handler(BaseHTTPRequestHandler):
         except (KeyError, TypeError, ValueError) as exc:
             self._error(400, "bad-request", f"unusable mint request: {exc}")
             return
+        except RecordTooLargeError as exc:
+            self._error(413, "too-large", str(exc))
+            return
         except CuflinksError as exc:
             self._error(500, "registry-error", str(exc))
             return
@@ -188,6 +208,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except NotFoundError as exc:
             self._error(404, "not-found", str(exc))
+            return
+        except RecordTooLargeError as exc:
+            self._error(413, "too-large", str(exc))
             return
         except (RegistryError, CycleError) as exc:
             self._error(409, "conflict", str(exc))

@@ -69,11 +69,13 @@ def _is_stale(connection: HTTPConnection) -> bool:
     """
     if connection.sock is None:
         return True
+    # poll, unlike select, takes descriptors above FD_SETSIZE
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
     try:
-        readable, _, _ = select.select([connection.sock], [], [], 0)
-    except (OSError, ValueError):
+        return bool(poller.poll(0))
+    except OSError:
         return True
-    return bool(readable)
 
 
 def _read(response: HTTPResponse, amount: int, request: str) -> bytes:
@@ -290,12 +292,10 @@ class HttpFetcher:
 
 
 class SchemeRegistry:
-    """Fetchers by URL scheme; close() closes the transport it was
-    given to own, if any."""
+    """Fetchers by URL scheme."""
 
-    def __init__(self, owned: Transport | None = None) -> None:
+    def __init__(self) -> None:
         self._fetchers: dict[str, Fetcher] = {}
-        self._owned = owned
 
     def register(self, scheme: str, fetcher: Fetcher) -> None:
         scheme = scheme.lower()
@@ -315,23 +315,11 @@ class SchemeRegistry:
                 f"{', '.join(self.schemes()) or 'none'}")
         return self._fetchers[scheme]
 
-    def close(self) -> None:
-        if self._owned is not None:
-            self._owned.close()
 
-    def __enter__(self) -> "SchemeRegistry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def default_registry(transport: Transport | None = None) -> SchemeRegistry:
-    """http and https over transport; without one, over a transport of
-    the registry's own, which its close() closes."""
-    owned = Transport() if transport is None else None
-    registry = SchemeRegistry(owned)
-    http = HttpFetcher(transport or owned)
+def default_registry(transport: Transport) -> SchemeRegistry:
+    """http and https over transport."""
+    registry = SchemeRegistry()
+    http = HttpFetcher(transport)
     registry.register("http", http)
     registry.register("https", http)
     return registry

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cuflinks.transfer import default_registry
+from cuflinks.transfer import Transport, default_registry
 
 FIXED_INSTANT = datetime(2026, 1, 15, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -135,10 +135,16 @@ def file_server():
 
 
 @pytest.fixture
-def schemes():
-    """The http(s) scheme registry, closed after the test."""
-    with default_registry() as registry:
-        yield registry
+def transport():
+    """An HTTP transport, closed after the test."""
+    with Transport() as opened:
+        yield opened
+
+
+@pytest.fixture
+def schemes(transport):
+    """The http(s) scheme registry over the test's transport."""
+    return default_registry(transport)
 
 
 @pytest.fixture

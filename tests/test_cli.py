@@ -20,6 +20,7 @@ from cuflinks.cli import main
 from cuflinks.hashing import digest_file
 from cuflinks.links import Ledger
 from cuflinks.minid import Checksum, Registry, RegistryClient
+from cuflinks.transfer import Transport
 
 from test_fetch import punch_holes
 
@@ -287,7 +288,8 @@ def test_registry_serve_stops_at_once_on_sigint(tmp_path):
     try:
         base_url = re.search(r"serving (\S+)",
                              child.stderr.readline()).group(1)
-        with RegistryClient(base_url) as client:
+        with Transport() as transport:
+            client = RegistryClient(base_url, transport=transport)
             for _ in range(3):
                 record = client.mint("tester", "content",
                                      ("http://127.0.0.1:1/x",),

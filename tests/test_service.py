@@ -15,7 +15,8 @@ from cuflinks.errors import (IdentifierError, NotFoundError, RegistryError,
 from cuflinks.minid import (Checksum, Registry, RegistryClient,
                             RegistryServer)
 from cuflinks.minid import store
-from cuflinks.minid.model import MAX_BODY_BYTES
+from cuflinks.minid.model import MAX_BODY_BYTES, MAX_RECORD_BYTES
+from cuflinks.transfer import Transport
 
 from conftest import FIXED_INSTANT
 
@@ -33,9 +34,8 @@ def server(tmp_path):
 
 
 @pytest.fixture
-def client(server):
-    with RegistryClient(server.base_url) as opened:
-        yield opened
+def client(server, transport):
+    return RegistryClient(server.base_url, transport=transport)
 
 
 def mint(client) -> str:
@@ -123,33 +123,35 @@ def test_conflict_states_are_409(client):
                                 actor="t")
 
 
-def test_healthy_probe(client, server):
+def test_healthy_probe(client, transport):
     assert client.healthy()
-    with RegistryClient("http://127.0.0.1:1/minid") as unreachable:
-        assert not unreachable.healthy()
+    unreachable = RegistryClient("http://127.0.0.1:1/minid",
+                                 transport=transport)
+    assert not unreachable.healthy()
 
 
-def test_client_wraps_connection_errors():
-    with RegistryClient("http://127.0.0.1:1/minid") as client, \
-            pytest.raises(TransferError):
+def test_client_wraps_connection_errors(transport):
+    client = RegistryClient("http://127.0.0.1:1/minid", transport=transport)
+    with pytest.raises(TransferError):
         client.resolve("minid:fPTs86M7VTyb")
 
 
 @pytest.mark.parametrize("reply", [
     b"{}", b"not json", b"[1]", b"\xff",
     json.dumps({"padding": "x" * MAX_BODY_BYTES}).encode()])
-def test_unusable_reply_is_a_registry_error(file_server, reply):
+def test_unusable_reply_is_a_registry_error(file_server, transport, reply):
     file_server.add("/minid/fPTs86M7VTyb", reply)
-    with RegistryClient(file_server.url("/minid")) as client, \
-            pytest.raises(RegistryError):
+    client = RegistryClient(file_server.url("/minid"), transport=transport)
+    with pytest.raises(RegistryError):
         client.resolve("minid:fPTs86M7VTyb")
 
 
-def test_write_token_enforced(tmp_path):
+def test_write_token_enforced(tmp_path, transport):
     registry = Registry.open(tmp_path / "registry.log")
-    with RegistryServer(registry, token="sesame") as server, \
-            RegistryClient(server.base_url) as anonymous, \
-            RegistryClient(server.base_url, token="sesame") as trusted:
+    with RegistryServer(registry, token="sesame") as server:
+        anonymous = RegistryClient(server.base_url, transport=transport)
+        trusted = RegistryClient(server.base_url, token="sesame",
+                                 transport=transport)
         with pytest.raises(RegistryError) as excinfo:
             anonymous.mint("t", "c", (URL,), Checksum("sha256", SHA))
         assert "401" in str(excinfo.value) or "unauthorized" in str(
@@ -163,24 +165,63 @@ def test_write_token_enforced(tmp_path):
     registry.close()
 
 
-def test_refused_body_is_never_read_as_a_request(tmp_path):
-    """A write refused before its body is read ends the connection:
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n"
+
+
+@pytest.mark.parametrize("head,body,status", [
+    pytest.param(b"POST /minid", b"Content-Length: %d\r\n\r\n%s"
+                 % (len(SMUGGLED), SMUGGLED), 401, id="unauthorized-post"),
+    pytest.param(b"GET /healthz", b"Content-Length: %d\r\n\r\n%s"
+                 % (len(SMUGGLED), SMUGGLED), 400, id="get-with-length"),
+    pytest.param(b"GET /healthz", b"Transfer-Encoding: chunked\r\n\r\n"
+                 b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED),
+                 400, id="chunked-get")])
+def test_refused_body_is_never_read_as_a_request(tmp_path, head, body,
+                                                 status):
+    """A request refused before its body is read ends the connection:
     a request smuggled in the body is never answered."""
     import socket
-    smuggled = b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n"
     registry = Registry.open(tmp_path / "registry.log")
     with RegistryServer(registry, token="sesame") as server, \
             socket.create_connection(server.address, timeout=5) as sock:
-        sock.sendall(b"POST /minid HTTP/1.1\r\nHost: registry\r\n"
-                     b"Content-Length: %d\r\n\r\n" % len(smuggled)
-                     + smuggled)
+        sock.sendall(head + b" HTTP/1.1\r\nHost: registry\r\n" + body)
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
     registry.close()
-    assert reply.startswith(b"HTTP/1.1 401 ")
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
     assert reply.count(b"HTTP/1.1") == 1
     assert b"connection: close" in reply.lower()
+
+
+def test_every_record_fits_the_client_reply_cap(tmp_path, transport):
+    """Writes that would leave a record larger than a reply can carry
+    are refused, so whatever the service stores its client can read."""
+    registry = Registry.open(tmp_path / "registry.log")
+    with RegistryServer(registry) as server:
+        client = RegistryClient(server.base_url, transport=transport)
+        checksum = Checksum("sha256", SHA)
+        base = client.mint("t", "x", (URL,), checksum).rendered_size() - 1
+        with pytest.raises(RegistryError, match="413"):
+            client.mint("t", "x" * (MAX_RECORD_BYTES - base + 1), (URL,),
+                        checksum)
+        assert len(registry) == 1
+        largest = client.mint("t", "x" * (MAX_RECORD_BYTES - base), (URL,),
+                              checksum)
+        assert largest.rendered_size() == MAX_RECORD_BYTES
+        assert client.resolve(largest.identifier) == largest
+        # locations cannot grow a record past the limit one PATCH at a time
+        with pytest.raises(RegistryError, match="413"):
+            client.update_locations(largest.identifier,
+                                    add=("https://e.org/more",), actor="t")
+        with pytest.raises(RegistryError, match="413"):
+            client.supersede(largest.identifier,
+                             "doi:" + "9" * 4096, actor="t")
+        assert client.resolve(largest.identifier) == largest
+        # the largest record still has room to be tombstoned and read
+        client.tombstone(largest.identifier, actor="t")
+        assert client.resolve(largest.identifier).status == "tombstoned"
+    registry.close()
 
 
 def test_post_with_bad_body_is_400(server):
@@ -217,7 +258,8 @@ def test_concurrent_mints_over_http(server, client):
 
     def work():
         try:
-            with RegistryClient(server.base_url) as local:
+            with Transport() as transport:
+                local = RegistryClient(server.base_url, transport=transport)
                 for _ in range(10):
                     minted.append(mint_one(local))
         except Exception as exc:  # noqa: BLE001 - surface in main thread
@@ -299,7 +341,8 @@ def test_reads_racing_updates_end_at_the_last_acknowledged_one(tmp_path):
     done = threading.Event()
 
     def read():
-        with RegistryClient(server.base_url) as reader:
+        with Transport() as transport:
+            reader = RegistryClient(server.base_url, transport=transport)
             while not done.is_set():
                 try:
                     reader.resolve(identifier)
@@ -313,7 +356,8 @@ def test_reads_racing_updates_end_at_the_last_acknowledged_one(tmp_path):
         # a fresh open: the first reads build the record as updates commit
         with Registry.open(path) as registry, \
                 RegistryServer(registry) as server, \
-                RegistryClient(server.base_url) as writer:
+                Transport() as transport:
+            writer = RegistryClient(server.base_url, transport=transport)
             readers = [threading.Thread(target=read) for _ in range(3)]
             for thread in readers:
                 thread.start()

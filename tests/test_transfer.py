@@ -16,12 +16,6 @@ from cuflinks.transfer import (MAX_REDIRECTS, HttpFetcher, SchemeRegistry,
 
 
 @pytest.fixture
-def transport():
-    with Transport() as opened:
-        yield opened
-
-
-@pytest.fixture
 def fetcher(transport):
     return HttpFetcher(transport)
 
@@ -218,6 +212,23 @@ def test_idle_connection_closed_by_the_server_is_replaced(transport, method,
         assert answered.acquire(timeout=10)  # and the connection closed
         assert transport.call(method, url, limit=10) == (200, b"ok")
         assert answered.acquire(timeout=10)
+
+
+def test_idle_check_takes_descriptors_above_fd_setsize():
+    """select() refuses a descriptor at or above FD_SETSIZE (1024); the
+    idle check still tells a live connection from one the peer closed."""
+    import fcntl
+    import resource
+    from types import SimpleNamespace
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= 2048:
+        pytest.skip("the descriptor limit leaves no room above 2048")
+    ours, peers = socket.socketpair()
+    with ours, peers, socket.socket(fileno=fcntl.fcntl(
+            ours.fileno(), fcntl.F_DUPFD, 2048)) as high:
+        connection = SimpleNamespace(sock=high)
+        assert not transfer._is_stale(connection)
+        peers.close()
+        assert transfer._is_stale(connection)
 
 
 def test_body_cut_short_is_a_transfer_error(transport):
