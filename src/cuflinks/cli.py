@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import click
@@ -41,7 +41,7 @@ from cuflinks.minid.model import Checksum
 from cuflinks.terms import (TermDictionary, add_term, append_changelog,
                             deprecate_term, load_dictionary,
                             save_dictionary, validate_term)
-from cuflinks.transfer import SchemeRegistry, Transport, default_registry
+from cuflinks.transfer import Transport, default_registry
 from cuflinks.version import TOOL_NAME, __version__
 
 EXIT_OK = 0
@@ -83,28 +83,34 @@ def _settings(ctx: click.Context, **overrides) -> Config:
     return load_config(ctx.obj.get("config_file"), overrides=filtered)
 
 
-def _open_resolver(config: Config, stack: ExitStack, transport: Transport,
-                   *, writable: bool = False):
-    """The configured registry: remote client or local event-log store."""
-    if config.resolver_url:
-        return RegistryClient(config.resolver_url,
-                              token=config.registry_token,
-                              transport=transport)
-    if config.store:
-        registry = Registry.open(Path(config.store),
-                                 read_only=not writable)
-        stack.callback(registry.close)
-        return registry
-    raise ConfigError(
-        "no registry configured: set resolver_url or store (flag, "
-        "config file, or CUFLINKS_RESOLVER_URL / CUFLINKS_STORE)")
+@contextmanager
+def _session(config: Config, *, writable: bool = False,
+             required: bool = True):
+    """Yield the configured registry (None when there is none and it is
+    not required) and the fetchers by URL scheme, over one transport.
 
-
-def _scheme_registry(transport: Transport, resolver=None) -> SchemeRegistry:
-    schemes = default_registry(transport)
-    if resolver is not None:
-        schemes.register("minid", MinidFetcher(resolver, schemes))
-    return schemes
+    The ``minid`` fetcher fetches an identifier's locations over http(s)
+    only, so a location naming an identifier fails instead of recursing.
+    """
+    with ExitStack() as stack:
+        transport = stack.enter_context(Transport())
+        schemes = default_registry(transport)
+        resolver = None
+        if config.resolver_url:
+            resolver = RegistryClient(config.resolver_url,
+                                      token=config.registry_token,
+                                      transport=transport)
+        elif config.store:
+            resolver = stack.enter_context(Registry.open(
+                Path(config.store), read_only=not writable))
+        elif required:
+            raise ConfigError(
+                "no registry configured: set resolver_url or store (flag, "
+                "config file, or CUFLINKS_RESOLVER_URL / CUFLINKS_STORE)")
+        if resolver is not None:
+            schemes.register("minid", MinidFetcher(
+                resolver, default_registry(transport)))
+        yield resolver, schemes
 
 
 @click.group()
@@ -205,13 +211,8 @@ def bag_validate(bag_dir, full, as_json) -> None:
 def bag_resolve_fetch(ctx, bag_dir, paths, parallelism, as_json) -> None:
     """Download the bag's pending fetch.txt entries into place."""
     config = _settings(ctx, parallelism=parallelism)
-    with ExitStack() as stack:
-        transport = stack.enter_context(Transport())
-        try:
-            resolver = _open_resolver(config, stack, transport)
-        except ConfigError:
-            resolver = None  # identifier URLs then fail the scheme check
-        schemes = _scheme_registry(transport, resolver)
+    # with no registry, identifier URLs fail the scheme check
+    with _session(config, required=False) as (_, schemes):
         report = materialize(bag_dir, tuple(paths) or "all",
                              registry=schemes,
                              parallelism=config.parallelism)
@@ -301,10 +302,7 @@ def minid_mint(ctx, title, author, locations, from_file, sha256_hex,
     checksum = (checksum_of_file(from_file) if from_file is not None
                 else Checksum(algorithm="sha256", digest=sha256_hex))
     config = _settings(ctx, store=store_path)
-    with ExitStack() as stack:
-        resolver = _open_resolver(config, stack,
-                                  stack.enter_context(Transport()),
-                                  writable=True)
+    with _session(config, writable=True) as (resolver, _):
         record = resolver.mint(author, title, tuple(locations), checksum)
     if as_json:
         _emit_json(record.to_json())
@@ -331,13 +329,10 @@ def minid_resolve(ctx, identifier, download_to, store_path, as_json) -> None:
     """
     parse_identifier(identifier)  # malformed input is a usage error
     config = _settings(ctx, store=store_path)
-    with ExitStack() as stack:
-        transport = stack.enter_context(Transport())
-        resolver = _open_resolver(config, stack, transport)
+    with _session(config) as (resolver, schemes):
         record = resolver.resolve(identifier)
         if download_to is not None:
-            resolve_to_bytes(identifier, resolver,
-                             _scheme_registry(transport, resolver),
+            resolve_to_bytes(identifier, resolver, schemes,
                              destination=download_to, record=record)
     if as_json:
         payload = record.to_json()
@@ -446,12 +441,10 @@ def link_record(ctx, output_id, input_ids, commit_ref, method_artifact,
                            notes=notes)
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
-    with ExitStack() as stack:
-        transport = stack.enter_context(Transport())
-        resolver = _open_resolver(config, stack, transport)
+    with _session(config) as (resolver, schemes):
         view = record_linkage(ledger, record, resolver)
         report = verify_chain(view, output_id, FULL_FIXITY, resolver,
-                              _scheme_registry(transport, resolver))
+                              schemes)
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
 
@@ -491,10 +484,7 @@ def link_verify(ctx, identifier, full, ledger_path, store_path,
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
     depth = FULL_FIXITY if full else RESOLVE_ONLY
-    with ExitStack() as stack:
-        transport = stack.enter_context(Transport())
-        resolver = _open_resolver(config, stack, transport)
-        schemes = _scheme_registry(transport, resolver) if full else None
+    with _session(config) as (resolver, schemes):
         report = verify_chain(ledger, identifier, depth, resolver, schemes)
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
@@ -516,11 +506,8 @@ def link_ci(ctx, ledger_path, store_path, report_path, as_json) -> None:
     chain of any output that none of them reach."""
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
-    with ExitStack() as stack:
-        transport = stack.enter_context(Transport())
-        resolver = _open_resolver(config, stack, transport)
-        status, report = ci_verify(ledger, resolver,
-                                   _scheme_registry(transport, resolver),
+    with _session(config) as (resolver, schemes):
+        status, report = ci_verify(ledger, resolver, schemes,
                                    report_path=report_path)
     for diagnostic in report["ledger_diagnostics"]:
         click.echo(f"ledger: {diagnostic}", err=True)

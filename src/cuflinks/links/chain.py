@@ -17,7 +17,7 @@ from pathlib import Path
 
 from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
                              NotFoundError, NotInLedgerError, RegistryError,
-                             SchemeError, TransferError)
+                             TransferError)
 from cuflinks.fileio import write_atomically
 from cuflinks.links.ledger import Ledger, LedgerView
 from cuflinks.minid.client import resolve_to_bytes
@@ -200,7 +200,7 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
             except IntegrityError as exc:
                 fixity = FIXITY_MISMATCH
                 detail_parts.append(str(exc))
-            except (TransferError, SchemeError, RegistryError) as exc:
+            except (TransferError, RegistryError) as exc:
                 detail_parts.append(f"content unreachable: {exc}")
         elif resolved:
             detail_parts.append(

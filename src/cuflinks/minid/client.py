@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Protocol
 
 from cuflinks.errors import (IdentifierError, IntegrityError, NotFoundError,
-                             RegistryError, TransferError)
+                             RegistryError, SchemeError, TransferError)
 from cuflinks.fileio import write_atomically
 from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import ACTIVE, MAX_BODY_BYTES, Checksum, \
-    MinidRecord, parse_identifier
+    MinidRecord, parse_identifier, render_body
 from cuflinks.transfer import SchemeRegistry, Transport
 
 
@@ -32,8 +32,9 @@ class RegistryClient:
     """Speaks the resolution API; duck-compatible with Registry reads.
 
     Requests go through the given transport, which the caller closes.
-    A reply that should carry a record but does not, or that is larger
-    than MAX_BODY_BYTES, is a RegistryError.
+    A request body larger than MAX_BODY_BYTES is refused before it is
+    sent, and a reply that should carry a record but does not, or that
+    is larger than MAX_BODY_BYTES, is a RegistryError.
     """
 
     def __init__(self, base_url: str, *, transport: Transport,
@@ -48,7 +49,11 @@ class RegistryClient:
         headers = dict(self._headers)
         payload = None
         if body is not None:
-            payload = json.dumps(body).encode("utf-8")
+            payload = render_body(body)
+            if len(payload) > MAX_BODY_BYTES:
+                raise RegistryError(
+                    f"{method} {url}: request body of {len(payload)} bytes "
+                    f"exceeds the resolver's {MAX_BODY_BYTES}-byte limit")
             headers["Content-Type"] = "application/json"
         status, data = self._transport.call(method, url, body=payload,
                                             headers=headers,
@@ -143,7 +148,9 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
     transfers but fails the record's checksum is an integrity error and
     stops the walk: the identifier's fixity claim is wrong somewhere,
     and quietly serving bytes from a sibling location would hide
-    that. Only transfer failures fall through to the next location.
+    that. Any other failure to obtain a location's bytes (a failed
+    transfer, no fetcher for its scheme, an identifier named there that
+    does not resolve) falls through to the next location.
 
     Returns the content and the identifier's record. With a destination
     the verified bytes replace the file there in one rename, and the
@@ -160,11 +167,12 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
                if record.superseded_by else ""))
     failures: list[str] = []
     for location in record.locations:
-        fetcher = schemes.for_url(location)
         buffer = io.BytesIO()
         try:
-            fetcher.fetch(location, buffer)
-        except TransferError as exc:
+            schemes.for_url(location).fetch(location, buffer)
+        except (SchemeError, TransferError, IdentifierError, NotFoundError,
+                RegistryError) as exc:
+            # an identifier named as a location can fail to resolve
             failures.append(str(exc))
             continue
         content = buffer.getvalue()
@@ -194,7 +202,9 @@ class MinidFetcher:
     Resolution turns the identifier into its location list; the verified
     bytes are then streamed into the sink. The identifier's own checksum
     is enforced here, independently of any bag manifest the caller may
-    additionally check.
+    additionally check. The locations are fetched through schemes, which
+    should hold no ``minid`` fetcher: then a location that names an
+    identifier fails like a refused transfer instead of recursing.
     """
 
     def __init__(self, resolver: Resolver, schemes: SchemeRegistry) -> None:

@@ -29,6 +29,11 @@ MAX_BODY_BYTES = 1024 * 1024
 MAX_RECORD_BYTES = MAX_BODY_BYTES - 4096
 
 
+def render_body(body: dict) -> bytes:
+    """The bytes of a resolution API body, as they go over the wire."""
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
 def parse_identifier(identifier: str) -> str:
     """Return the suffix of a well-formed identifier, or raise."""
     prefix, sep, suffix = identifier.partition(":")
@@ -126,8 +131,8 @@ class MinidRecord:
         }
 
     def rendered_size(self) -> int:
-        """Bytes in the record's JSON, as the service sends it."""
-        return len(json.dumps(self.to_json(), sort_keys=True))
+        """Bytes in the body of a reply that carries the record."""
+        return len(render_body(self.to_json()))
 
     @classmethod
     def from_json(cls, body: dict) -> "MinidRecord":

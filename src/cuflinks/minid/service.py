@@ -8,12 +8,13 @@ Routes (JSON bodies, UTF-8):
     PATCH /minid/<suffix>  location updates, plus administrative state
                            changes ("tombstone": true, "supersede_by")
 
-A store that cannot be read or written answers 500 registry-error on
-every /minid route. Writes require a bearer token when the server is
-given one. Reads never do, and a GET carrying a body is refused (400).
-Request bodies are capped at MAX_BODY_BYTES, and a write that would
-leave a record larger than a reply can carry is refused too (413 for
-both). The service speaks HTTP/1.1 and keeps each connection
+An error answers the same status on every /minid route (_ERRORS): a
+refused state change 409 conflict, a store that cannot be read or
+written 500 registry-error. Writes require a bearer token when the
+server is given one. Reads never do, and a GET carrying a body is
+refused (400). Request bodies are capped at MAX_BODY_BYTES, and a write
+that would leave a record larger than a reply can carry is refused too
+(413 for both). The service speaks HTTP/1.1 and keeps each connection
 open for the client's next request; a connection that stays silent for
 REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
 refused unread. Threaded server: resolution keeps working while a mint
@@ -30,11 +31,25 @@ from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
                              NotFoundError, RecordTooLargeError,
                              RegistryError)
 from cuflinks.minid.model import (MAX_BODY_BYTES, TOMBSTONED, Checksum,
+                                  MinidRecord, render_body,
                                   render_identifier)
 from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
 REQUEST_TIMEOUT = 30.0
+
+# the answer to an exception a route's registry call raises: the first
+# row whose classes match it wins, so a subclass comes before the class
+# it derives from. KeyError, TypeError and ValueError come from a JSON
+# body that is not a usable request.
+_ERRORS = (
+    (IdentifierError, 400, "malformed-identifier"),
+    (NotFoundError, 404, "not-found"),
+    (RecordTooLargeError, 413, "too-large"),
+    ((RegistryError, CycleError), 409, "conflict"),
+    ((KeyError, TypeError, ValueError), 400, "bad-request"),
+    (CuflinksError, 500, "registry-error"),
+)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -55,7 +70,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # outcomes go back to the client; no access log on stderr
 
     def _send(self, status: int, body: dict) -> None:
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
+        payload = render_body(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
@@ -126,6 +141,37 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return body
 
+    def _answer(self, act, *args) -> MinidRecord | None:
+        """The record act(*args) returns; None once the answer _ERRORS
+        gives for what it raised has been sent."""
+        try:
+            return act(*args)
+        except Exception as exc:
+            for classes, status, code in _ERRORS:
+                if isinstance(exc, classes):
+                    self._error(status, code, str(exc))
+                    return None
+            raise
+
+    def _minted(self, body: dict) -> MinidRecord:
+        return self.registry.mint(
+            author=body.get("author", ""),
+            title=body.get("title", ""),
+            locations=tuple(body.get("locations", ())),
+            checksum=Checksum.from_json(body["checksum"]),
+        )
+
+    def _patched(self, identifier: str, body: dict) -> MinidRecord:
+        actor = str(body.get("actor", ""))
+        if body.get("tombstone"):
+            return self.registry.tombstone(identifier, actor=actor)
+        if "supersede_by" in body:
+            return self.registry.supersede(
+                identifier, str(body["supersede_by"]), actor=actor)
+        return self.registry.update_locations(
+            identifier, add=tuple(body.get("add", ())),
+            remove=tuple(body.get("remove", ())), actor=actor)
+
     # --- methods ---------------------------------------------------------
 
     def do_GET(self) -> None:
@@ -143,44 +189,19 @@ class _Handler(BaseHTTPRequestHandler):
         if identifier is None:
             self._error(404, "no-route", f"no route for {self.path}")
             return
-        try:
-            record = self.registry.resolve(identifier)
-        except IdentifierError as exc:
-            self._error(400, "malformed-identifier", str(exc))
-            return
-        except NotFoundError as exc:
-            self._error(404, "not-found", str(exc))
-            return
-        except CuflinksError as exc:
-            self._error(500, "registry-error", str(exc))
-            return
-        status = 410 if record.status == TOMBSTONED else 200
-        self._send(status, record.to_json())
+        record = self._answer(self.registry.resolve, identifier)
+        if record is not None:
+            self._send(410 if record.status == TOMBSTONED else 200,
+                       record.to_json())
 
     def do_POST(self) -> None:
         if self.path not in ("/minid", "/minid/"):
             self._refuse_unread(404, "no-route", f"no route for {self.path}")
             return
         body = self._write_body()
-        if body is None:
-            return
-        try:
-            record = self.registry.mint(
-                author=body.get("author", ""),
-                title=body.get("title", ""),
-                locations=tuple(body.get("locations", ())),
-                checksum=Checksum.from_json(body["checksum"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            self._error(400, "bad-request", f"unusable mint request: {exc}")
-            return
-        except RecordTooLargeError as exc:
-            self._error(413, "too-large", str(exc))
-            return
-        except CuflinksError as exc:
-            self._error(500, "registry-error", str(exc))
-            return
-        self._send(201, record.to_json())
+        record = None if body is None else self._answer(self._minted, body)
+        if record is not None:
+            self._send(201, record.to_json())
 
     def do_PATCH(self) -> None:
         identifier = self._identifier_from_path()
@@ -188,40 +209,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._refuse_unread(404, "no-route", f"no route for {self.path}")
             return
         body = self._write_body()
-        if body is None:
-            return
-        actor = str(body.get("actor", ""))
-        try:
-            if body.get("tombstone"):
-                record = self.registry.tombstone(identifier, actor=actor)
-            elif "supersede_by" in body:
-                record = self.registry.supersede(
-                    identifier, str(body["supersede_by"]), actor=actor)
-            else:
-                record = self.registry.update_locations(
-                    identifier,
-                    add=tuple(body.get("add", ())),
-                    remove=tuple(body.get("remove", ())),
-                    actor=actor)
-        except IdentifierError as exc:
-            self._error(400, "malformed-identifier", str(exc))
-            return
-        except NotFoundError as exc:
-            self._error(404, "not-found", str(exc))
-            return
-        except RecordTooLargeError as exc:
-            self._error(413, "too-large", str(exc))
-            return
-        except (RegistryError, CycleError) as exc:
-            self._error(409, "conflict", str(exc))
-            return
-        except (TypeError, ValueError) as exc:
-            self._error(400, "bad-request", str(exc))
-            return
-        except CuflinksError as exc:
-            self._error(500, "registry-error", str(exc))
-            return
-        self._send(200, record.to_json())
+        record = (None if body is None
+                  else self._answer(self._patched, identifier, body))
+        if record is not None:
+            self._send(200, record.to_json())
 
 
 class RegistryServer:

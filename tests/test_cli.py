@@ -422,6 +422,61 @@ def test_link_record_rejects_unresolvable_output(runner, tmp_path):
     assert "does not resolve" in result.stderr
 
 
+@pytest.mark.parametrize("named", ["self", "pair", "unknown"])
+@pytest.mark.parametrize("command", ["resolve", "ci", "record"])
+def test_locations_naming_identifiers_end_in_a_verdict(runner, tmp_path,
+                                                       file_server, named,
+                                                       command):
+    """An identifier whose location names an identifier is fetched
+    through http(s) only: a loop, or an identifier that does not
+    resolve, is a failed location, not a recursion or an abort."""
+    store = tmp_path / "registry.log"
+    ledger = tmp_path / "chain.jsonl"
+    minted, urls = {}, {}
+    for name in ("a", "b", "c"):
+        blob = tmp_path / f"{name}.bin"
+        blob.write_bytes(f"{name} stage content\n".encode())
+        urls[name] = file_server.add(f"/{name}", blob.read_bytes())
+        minted[name] = mint(runner, store, blob, urls[name], title=name)
+    invoke(runner, ["link", "root", minted["a"], "--actor", "t",
+                    "--ledger", str(ledger)])
+    derive = ["--input", minted["a"], "--commit",
+              f"https://example.org/p.git@{COMMIT}", "--actor", "t",
+              "--ledger", str(ledger), "--store", str(store), "--json"]
+    invoke(runner, ["link", "record", "--output", minted["b"], *derive])
+    moves = {"self": {"a": minted["a"]},
+             "pair": {"a": minted["b"], "b": minted["a"]},
+             "unknown": {"a": "minid:zzzzzzzzzzzz"}}[named]
+    with Registry.open(store) as registry:
+        for name, location in moves.items():
+            registry.update_locations(minted[name], add=(location,),
+                                      remove=(urls[name],), actor="t")
+
+    if command == "resolve":
+        saved = tmp_path / "saved.bin"
+        result = invoke(runner, ["minid", "resolve", minted["a"], "--store",
+                                 str(store), "--download", str(saved)],
+                        expect=3)
+        assert result.stderr.count("error:") == 1
+        assert "every location failed" in result.stderr
+        assert not saved.exists()
+        return
+    # content that cannot be fetched leaves a node unverifiable, which
+    # does not break its chain
+    if command == "ci":
+        result = invoke(runner, ["link", "ci", "--ledger", str(ledger),
+                                 "--store", str(store), "--json"])
+        nodes = json.loads(result.output)["chains"][0]["nodes"]
+    else:
+        result = invoke(runner, ["link", "record", "--output", minted["c"],
+                                 *derive])
+        nodes = json.loads(result.output)["nodes"]
+        assert minted["c"] in Ledger(ledger).load().linkages
+    node = next(n for n in nodes if n["identifier"] == minted["a"])
+    assert node["fixity"] == "unverifiable"
+    assert "content unreachable" in node["detail"]
+
+
 def test_dict_lifecycle(runner, tmp_path):
     dictionary = tmp_path / "terms.tsv"
     invoke(runner, ["dict", "add", "complete", "status:complete",

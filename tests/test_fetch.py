@@ -258,3 +258,31 @@ def test_identifier_checksum_mismatch_is_integrity_failure(
     assert not (bag_dir / "data" / "file1").exists()
 
     registry.close()
+
+
+def test_identifier_location_without_fetcher_is_a_failed_transfer(
+        fig3_tree, fixed_clock, tmp_path, file_server, schemes):
+    """A location no fetcher serves fails like a refused transfer: the
+    entry ends as a transfer error, its sibling still lands, and the
+    bag stays valid for the next run."""
+    source, metadata = fig3_tree
+    bag = create_bag(source, metadata=metadata, root_name="demo",
+                     clock=fixed_clock)
+    bag_dir = write_bag(bag, tmp_path / "bags")
+    body1 = (source / "file1").read_bytes()
+    body2 = (source / "file2").read_bytes()
+    registry = Registry.open(tmp_path / "registry.log")
+    record = registry.mint("tester", "file two", ("ftp://e.org/file2",),
+                           checksum_of_file(source / "file2"))
+    punch_holes(bag_dir, [
+        ("data/file1", file_server.add("/file1", body1), len(body1)),
+        ("data/file2", record.identifier, len(body2))])
+
+    schemes.register("minid", MinidFetcher(registry, schemes))
+    report = materialize(bag_dir, registry=schemes, sleep=lambda _: None)
+    registry.close()
+    assert outcome_map(report) == {"data/file1": FETCHED,
+                                   "data/file2": TRANSFER_ERROR}
+    assert "ftp" in {o.path: o.detail for o in report.outcomes}["data/file2"]
+    assert (bag_dir / "data/file1").read_bytes() == body1
+    assert validate_bag(read_bag(bag_dir), FAST).ok

@@ -14,6 +14,7 @@ from cuflinks.errors import (IdentifierError, NotFoundError, RegistryError,
                              TransferError)
 from cuflinks.minid import (Checksum, Registry, RegistryClient,
                             RegistryServer)
+from cuflinks.minid import registry as registry_module
 from cuflinks.minid import store
 from cuflinks.minid.model import MAX_BODY_BYTES, MAX_RECORD_BYTES
 from cuflinks.transfer import Transport
@@ -22,6 +23,8 @@ from conftest import FIXED_INSTANT
 
 SHA = "1" * 64
 URL = "http://127.0.0.1:1/content"
+MINT_BODY = {"author": "tester", "title": "content", "locations": [URL],
+             "checksum": {"algorithm": "sha256", "digest": SHA}}
 
 
 @pytest.fixture
@@ -115,12 +118,21 @@ def test_supersede_via_patch(client):
         client.supersede(new, old, actor="tester")
 
 
-def test_conflict_states_are_409(client):
+def test_conflict_states_are_409(client, server, monkeypatch):
     identifier = mint(client)
     client.tombstone(identifier, actor="t")
     with pytest.raises(RegistryError):
         client.update_locations(identifier, add=("https://e.org/x",),
                                 actor="t")
+    # a mint that finds no free suffix is refused with the same status
+    suffix = identifier.removeprefix("minid:")
+    monkeypatch.setattr(registry_module, "new_suffix", lambda: suffix)
+    for method, url, body in [
+            ("PATCH", f"{server.base_url}/{suffix}",
+             {"add": ["https://e.org/x"], "actor": "t"}),
+            ("POST", server.base_url, MINT_BODY)]:
+        status, reply = http_send(url, method, body)
+        assert (status, reply["error"]) == (409, "conflict"), method
 
 
 def test_healthy_probe(client, transport):
@@ -224,6 +236,17 @@ def test_every_record_fits_the_client_reply_cap(tmp_path, transport):
     registry.close()
 
 
+def test_client_refuses_a_body_over_the_limit(client, server):
+    identifier = mint(client)
+    before = client.resolve(identifier)
+    with pytest.raises(RegistryError, match=f"request body of .* exceeds "
+                                            f"the resolver's "
+                                            f"{MAX_BODY_BYTES}-byte limit"):
+        client.supersede(identifier, "doi:" + "9" * (8 * 1024 * 1024),
+                         actor="t")
+    assert client.resolve(identifier) == before
+
+
 def test_post_with_bad_body_is_400(server):
     request = urllib.request.Request(
         server.base_url, data=b"not json",
@@ -302,17 +325,23 @@ class NoSpace:
         raise OSError(28, "No space left on device")
 
 
-def test_patch_that_cannot_be_stored_is_500(client, server, monkeypatch):
+@pytest.mark.parametrize("method", ["PATCH", "POST"])
+def test_write_that_cannot_be_stored_is_500(client, server, monkeypatch,
+                                            method):
     identifier = mint(client)
     monkeypatch.setattr(store, "os", NoSpace())
-    status, body = http_send(
-        f"{server.base_url}/{identifier.removeprefix('minid:')}", "PATCH",
-        {"add": ["https://mirror.org/x"], "actor": "tester"})
+    if method == "PATCH":
+        status, body = http_send(
+            f"{server.base_url}/{identifier.removeprefix('minid:')}",
+            method, {"add": ["https://mirror.org/x"], "actor": "tester"})
+    else:
+        status, body = http_send(server.base_url, method, MINT_BODY)
     assert status == 500
     assert body["error"] == "registry-error"
     assert "No space left" in body["detail"]
     monkeypatch.undo()
     assert client.resolve(identifier).locations == (URL,)
+    assert len(server.registry) == 1
 
 
 def test_get_of_a_malformed_committed_event_is_500(tmp_path):
