@@ -13,8 +13,9 @@ import json
 from pathlib import Path
 from typing import Protocol
 
-from cuflinks.errors import (IdentifierError, IntegrityError, NotFoundError,
-                             RegistryError, SchemeError, TransferError)
+from cuflinks.errors import (CuflinksError, IdentifierError, IntegrityError,
+                             NotFoundError, RegistryError, SchemeError,
+                             TransferError)
 from cuflinks.fileio import write_atomically
 from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import ACTIVE, MAX_BODY_BYTES, Checksum, \
@@ -150,7 +151,10 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
     and quietly serving bytes from a sibling location would hide
     that. Any other failure to obtain a location's bytes (a failed
     transfer, no fetcher for its scheme, an identifier named there that
-    does not resolve) falls through to the next location.
+    does not resolve) falls through to the next location. When every
+    location fails, the error is a TransferError if any of them failed
+    in transfer, which a retry might get past, and a RegistryError if
+    none could even be tried, which no retry changes.
 
     Returns the content and the identifier's record. With a destination
     the verified bytes replace the file there in one rename, and the
@@ -166,6 +170,7 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
             + (f" (successor {record.superseded_by})"
                if record.superseded_by else ""))
     failures: list[str] = []
+    error: type[CuflinksError] = RegistryError
     for location in record.locations:
         buffer = io.BytesIO()
         try:
@@ -174,6 +179,8 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
                 RegistryError) as exc:
             # an identifier named as a location can fail to resolve
             failures.append(str(exc))
+            if isinstance(exc, TransferError):
+                error = TransferError
             continue
         content = buffer.getvalue()
         actual = digest_bytes(content, record.checksum.algorithm)
@@ -186,7 +193,7 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
             write_atomically(destination, content)
             return None, record
         return content, record
-    raise TransferError(
+    raise error(
         f"{identifier}: every location failed: " + " | ".join(failures))
 
 

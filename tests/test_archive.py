@@ -2,7 +2,6 @@
 
 import os
 import random
-import shutil
 import signal
 import struct
 import subprocess
@@ -20,7 +19,7 @@ import cuflinks
 from cuflinks.bag import archive as archive_module
 from cuflinks.bag import create_bag, extract, serialize, write_bag
 from cuflinks.cli import main
-from cuflinks.errors import FormatError, ValidationError
+from cuflinks.errors import FormatError, IntegrityError, ValidationError
 
 from test_bag import tree_files
 
@@ -107,11 +106,16 @@ def test_extract_refuses_occupied_destination(bag_dir, tmp_path):
 MIB = 1024 * 1024
 
 
-def reference_method(path: Path) -> int:
+# The writer's level, spelled out rather than read from the module, so
+# that changing it (and with it every archive's bytes) shows up here.
+LEVEL = 4
+
+
+def reference_method(path: Path, level: int = LEVEL) -> int:
     """Stored when a one-shot deflate of the first MiB saves less than a
     tenth of it, else deflated."""
     sample = path.read_bytes()[:MIB]
-    compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+    compressor = zlib.compressobj(level, zlib.DEFLATED, -15)
     deflated = len(compressor.compress(sample) + compressor.flush())
     if len(sample) - deflated < len(sample) / 10:
         return zipfile.ZIP_STORED
@@ -119,14 +123,14 @@ def reference_method(path: Path) -> int:
 
 
 def zipfile_reference(bag_dir: Path, destination: Path,
-                      method=reference_method) -> Path:
+                      method=reference_method, level: int = LEVEL) -> Path:
     """The archive as zipfile writes it, member by member, in the order
     and with the settings serialize uses; method(path) picks each
-    file's compression."""
+    file's compression, and deflated members get the given level."""
     root = bag_dir.name
     paths = [path for path in sorted(bag_dir.rglob("*"))
              if not path.relative_to(bag_dir).parts[0].startswith(".")]
-    with zipfile.ZipFile(destination, "w", zipfile.ZIP_DEFLATED) as handle:
+    with zipfile.ZipFile(destination, "w") as handle:
         for path in paths:
             if path.is_dir():
                 rel = path.relative_to(bag_dir).as_posix()
@@ -137,10 +141,10 @@ def zipfile_reference(bag_dir: Path, destination: Path,
                 info = zipfile.ZipInfo(
                     f"{root}/{path.relative_to(bag_dir).as_posix()}",
                     date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = method(path)
-                with open(path, "rb") as source, \
-                        handle.open(info, "w") as member:
-                    shutil.copyfileobj(source, member)
+                # writestr's own level: before 3.12, open(info, "w")
+                # ignores the ZipFile's compresslevel
+                handle.writestr(info, path.read_bytes(), method(path),
+                                compresslevel=level)
     return destination
 
 
@@ -200,13 +204,29 @@ def test_incompressible_members_are_stored(varied_bag, tmp_path):
     # only the first MiB decides: this member as a whole would deflate
     # by far more than a tenth, and is stored all the same
     mixed = (varied_bag / "data" / "random-then-rows.bin").read_bytes()
-    assert len(zlib.compress(mixed, 6)) < 0.7 * len(mixed)
+    assert len(zlib.compress(mixed, LEVEL)) < 0.7 * len(mixed)
 
 
 def test_fully_deflated_archive_still_extracts(varied_bag, tmp_path):
-    """Archives from before the stored rule deflate every member."""
+    """Archives from before the stored rule deflate every member at
+    level 6."""
     old = zipfile_reference(varied_bag, tmp_path / "old.zip",
-                            method=lambda path: zipfile.ZIP_DEFLATED)
+                            method=lambda path: zipfile.ZIP_DEFLATED,
+                            level=6)
+    assert old.read_bytes() != serialize(
+        varied_bag, tmp_path / "new.zip").read_bytes()
+    restored = extract(old, tmp_path / "restored")
+    assert tree_files(restored) == tree_files(varied_bag)
+
+
+def test_level_6_archive_still_extracts(varied_bag, tmp_path):
+    """The writer before level 4 applied the stored rule at level 6."""
+    old = zipfile_reference(
+        varied_bag, tmp_path / "old.zip",
+        method=lambda path: reference_method(path, level=6), level=6)
+    with zipfile.ZipFile(old) as handle:
+        methods = {info.compress_type for info in handle.infolist()}
+    assert methods == {zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED}
     assert old.read_bytes() != serialize(
         varied_bag, tmp_path / "new.zip").read_bytes()
     restored = extract(old, tmp_path / "restored")
@@ -242,6 +262,70 @@ def test_at_most_parallelism_spools_open(tmp_path, fixed_clock, monkeypatch):
     serialize(bag_dir, tmp_path / "many.zip", parallelism=2)
     assert state["open"] == 0
     assert 1 <= state["peak"] <= 2
+
+
+def test_members_held_at_once_are_bounded(varied_bag, tmp_path,
+                                          monkeypatch):
+    """At most parallelism members wait for the writer, a stored one
+    holding no more than its one-MiB sample, and every file and spool
+    is closed at the end."""
+    real, lock = archive_module._deflate, threading.Lock()
+    state = {"held": 0, "peak": 0, "sample": 0}
+    bodies = []
+
+    def counted(path, spool_dir):
+        body = real(path, spool_dir)
+        with lock:
+            bodies.append(body)
+            state["held"] += 1
+            state["peak"] = max(state["peak"], state["held"])
+            state["sample"] = max(state["sample"],
+                                  sum(map(len, body.sample)))
+        return body
+
+    def close(body):
+        with lock:
+            state["held"] -= 1
+        real_close(body)
+
+    real_close = archive_module._Body.close
+    monkeypatch.setattr(archive_module, "_deflate", counted)
+    monkeypatch.setattr(archive_module._Body, "close", close)
+    serialize(varied_bag, tmp_path / "varied.zip", parallelism=2)
+    assert state["held"] == 0
+    assert 1 <= state["peak"] <= 2
+    assert state["sample"] == MIB
+    assert all(body.source is None or body.source.closed
+               for body in bodies)
+    assert all(body.spool is None or body.spool.closed for body in bodies)
+
+
+@pytest.mark.parametrize("change", ["grow", "shrink"])
+def test_stored_member_that_changes_size_is_refused(varied_bag, tmp_path,
+                                                    monkeypatch, change):
+    """A stored member's header is written from the size the file had
+    when opened; if reading it ends elsewhere, no archive is made."""
+    real = archive_module._deflate
+    victim = varied_bag / "data" / "random-over.bin"
+
+    def changing(path, spool_dir):
+        body = real(path, spool_dir)
+        if path == victim:
+            assert body.method == zipfile.ZIP_STORED
+            with open(victim, "r+b") as handle:
+                if change == "grow":
+                    handle.seek(0, os.SEEK_END)
+                    handle.write(b"appended")
+                else:
+                    handle.truncate(MIB + 10)
+        return body
+
+    monkeypatch.setattr(archive_module, "_deflate", changing)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(IntegrityError, match="changed size"):
+        serialize(varied_bag, out / "varied.zip")
+    assert list(out.iterdir()) == []
 
 
 def test_zip64_records_read_back(tmp_path):

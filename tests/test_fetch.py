@@ -14,6 +14,7 @@ from cuflinks.fetch import (DIGEST_MISMATCH, FETCHED, LENGTH_MISMATCH,
                             WORKSPACE_DIR, materialize)
 from cuflinks.minid import MinidFetcher, Registry, checksum_of_file
 
+from conftest import CountingResolver
 from test_bag import tree_files
 
 
@@ -286,3 +287,54 @@ def test_identifier_location_without_fetcher_is_a_failed_transfer(
     assert "ftp" in {o.path: o.detail for o in report.outcomes}["data/file2"]
     assert (bag_dir / "data/file1").read_bytes() == body1
     assert validate_bag(read_bag(bag_dir), FAST).ok
+
+
+@pytest.mark.parametrize("location", ["ftp://e.org/file1",
+                                      "minid:zzzzzzzzzzzz"],
+                         ids=["no-fetcher", "unknown-identifier"])
+def test_identifier_with_no_location_to_try_is_not_retried(
+        fig3_tree, fixed_clock, tmp_path, schemes, location):
+    """When no location of an identifier can even be tried, another
+    attempt would fail the same way: the entry fails at once."""
+    source, metadata = fig3_tree
+    bag_dir = write_bag(create_bag(source, metadata=metadata,
+                                   root_name="demo", clock=fixed_clock),
+                        tmp_path / "bags")
+    body = (source / "file1").read_bytes()
+    registry = Registry.open(tmp_path / "registry.log")
+    record = registry.mint("tester", "file one", (location,),
+                           checksum_of_file(source / "file1"))
+    punch_holes(bag_dir, [("data/file1", record.identifier, len(body))])
+    resolver = CountingResolver(registry)
+    schemes.register("minid", MinidFetcher(resolver, schemes))
+    sleeps = []
+    report = materialize(bag_dir, registry=schemes, sleep=sleeps.append)
+    registry.close()
+    assert outcome_map(report) == {"data/file1": TRANSFER_ERROR}
+    assert sleeps == []
+    assert resolver.calls.count(record.identifier) == 1
+
+
+def test_identifier_with_a_failed_transfer_is_retried(
+        fig3_tree, fixed_clock, tmp_path, schemes, file_server):
+    """A location that failed in transfer may pass on another attempt,
+    beside one that cannot be tried."""
+    source, metadata = fig3_tree
+    bag_dir = write_bag(create_bag(source, metadata=metadata,
+                                   root_name="demo", clock=fixed_clock),
+                        tmp_path / "bags")
+    body = (source / "file1").read_bytes()
+    registry = Registry.open(tmp_path / "registry.log")
+    record = registry.mint(
+        "tester", "file one",
+        ("ftp://e.org/file1", file_server.add("/file1", body)),
+        checksum_of_file(source / "file1"))
+    punch_holes(bag_dir, [("data/file1", record.identifier, len(body))])
+    file_server.fail_next["/file1"] = 1
+    schemes.register("minid", MinidFetcher(registry, schemes))
+    sleeps = []
+    report = materialize(bag_dir, registry=schemes, sleep=sleeps.append)
+    registry.close()
+    assert outcome_map(report) == {"data/file1": FETCHED}
+    assert len(sleeps) == 1
+    assert (bag_dir / "data" / "file1").read_bytes() == body

@@ -11,7 +11,7 @@ import pytest
 
 from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
                              LockError, NotFoundError, RegistryError,
-                             StoreError)
+                             StoreError, TransferError)
 from cuflinks.minid import (Checksum, EventLog, MinidRecord, Registry,
                             is_valid_identifier, new_suffix,
                             parse_identifier, render_identifier,
@@ -422,6 +422,22 @@ def test_resolve_to_bytes_trusts_a_given_record(registry, file_server,
                          record=tombstoned)
     assert resolver.calls == []
     assert file_server.requests == []
+
+
+@pytest.mark.parametrize("served", [False, True],
+                         ids=["none-tried", "one-failed-transfer"])
+def test_every_location_failing_names_whether_one_was_tried(
+        registry, file_server, schemes, served):
+    """Only a failed transfer might pass on a retry, so only then is the
+    failure a TransferError."""
+    locations = ["ftp://e.org/blob", "minid:zzzzzzzzzzzz"]
+    if served:
+        locations.append(file_server.url("/missing"))
+    record = mint(registry, locations=tuple(locations))
+    error = TransferError if served else RegistryError
+    with pytest.raises(error, match="every location failed") as excinfo:
+        resolve_to_bytes(record.identifier, registry, schemes)
+    assert type(excinfo.value) is error
 
 
 def test_download_replaces_destination_whole(registry, file_server,
