@@ -2,7 +2,8 @@
 
 The archive holds exactly one top-level directory named after the bag.
 Extraction refuses anything else, along with member names that would
-escape the destination.
+escape the destination or that collide, and archives whose declared
+sizes exceed the free space. It unpacks file members on worker threads.
 
 Archives are written by a small ZIP writer (PKWARE APPNOTE layout) so
 that members can be compressed on several threads. Each worker reads
@@ -29,18 +30,20 @@ bytes are on disk.
 
 from __future__ import annotations
 
+import errno
 import os
 import secrets
 import shutil
 import struct
 import tempfile
+import threading
 import zipfile
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import BinaryIO
 
 from cuflinks.bag.io import read_bag
@@ -305,7 +308,11 @@ def serialize(bag_dir: Path, destination: Path | None = None, *,
 
 def extract(archive_path: Path, destination_parent: Path) -> Path:
     """Unpack into destination_parent/<root>, which appears only once
-    every member has been read to its end and so passed its CRC check."""
+    every member has been read to its end and so passed its CRC check.
+
+    File members are unpacked concurrently, largest first, on as many
+    threads as the process has usable cores (at most one per member).
+    """
     archive_path = Path(archive_path)
     destination_parent = Path(destination_parent)
     try:
@@ -339,24 +346,84 @@ def _extract(archive: zipfile.ZipFile, archive_path: Path,
             "archive must contain a single top-level directory",
             path=str(archive_path))
 
+    # every directory a member names or lies under, the root included;
+    # a file may not share its name with another member or a directory
+    directories = {name.removesuffix("/") for name in names
+                   if name.endswith("/")}
+    for name in names:
+        directories.update(map(str, PurePosixPath(name).parents[:-1]))
+    taken: set[str] = set()
+    for name in names:
+        path = name.removesuffix("/")
+        if path in taken or (path == name and path in directories):
+            raise FormatError(f"member {name!r} collides with another "
+                              f"member or a directory of that name",
+                              path=str(archive_path))
+        taken.add(path)
+
     destination = destination_parent / root
     if destination.exists() and any(destination.iterdir()):
         raise FileExistsError(
             f"destination {destination} already exists and is not empty")
+    # each member stops at its declared size, so their sum bounds the
+    # bytes written; the parent may not exist yet
+    files = [info for info in archive.infolist() if not info.is_dir()]
+    declared = sum(info.file_size for info in files)
+    existing = next(path for path in (destination_parent,
+                                      *destination_parent.parents)
+                    if path.exists())
+    stats = os.statvfs(existing)
+    free = stats.f_bavail * stats.f_frsize
+    if declared > free:
+        raise OSError(errno.ENOSPC,
+                      f"archive members declare {declared} bytes, but "
+                      f"only {free} bytes are free under {existing}")
     destination_parent.mkdir(parents=True, exist_ok=True)
     staging = destination_parent / f".{root}.{secrets.token_hex(4)}.tmp"
     staging.mkdir()
     try:
-        for name in sorted(names):
-            target = staging / name[len(root) + 1:]
-            if name.endswith("/"):
-                target.mkdir(parents=True, exist_ok=True)
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            with archive.open(name) as member, open(target, "wb") as sink:
-                shutil.copyfileobj(member, sink)
+        for directory in sorted(directories - {root}):
+            (staging / directory[len(root) + 1:]).mkdir()
+        _unpack(archive, [(info, staging / info.filename[len(root) + 1:])
+                          for info in files])
         os.rename(staging, destination)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
     return destination
+
+
+def _unpack(archive: zipfile.ZipFile,
+            targets: list[tuple[zipfile.ZipInfo, Path]]) -> None:
+    """Write each member to its target path, largest first, on worker
+    threads that share the open archive: inflating, CRC checks and
+    writes release the GIL.
+
+    zipfile counts open members without a lock of its own, so members
+    are opened and closed under one lock here. On the first failure no
+    further member starts, and the call returns only once every worker
+    has stopped.
+    """
+    lock = threading.Lock()
+
+    def unpack(info: zipfile.ZipInfo, target: Path) -> None:
+        with lock:
+            member = archive.open(info)
+        try:
+            with open(target, "wb") as sink:
+                shutil.copyfileobj(member, sink)
+        finally:
+            with lock:
+                member.close()
+
+    targets = sorted(targets, key=lambda pair: pair[0].compress_size,
+                     reverse=True)
+    pool = ThreadPoolExecutor(max(1, min(usable_cores(), len(targets))))
+    try:
+        jobs = [pool.submit(unpack, *pair) for pair in targets]
+        wait(jobs, return_when=FIRST_EXCEPTION)
+        for job in jobs:
+            if job.done():
+                job.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -442,9 +442,10 @@ def link_record(ctx, output_id, input_ids, commit_ref, method_artifact,
     config = _settings(ctx, ledger=ledger_path, store=store_path)
     ledger = Ledger(Path(config.ledger))
     with _session(config) as (resolver, schemes):
-        view = record_linkage(ledger, record, resolver)
+        looked_up = {}
+        view = record_linkage(ledger, record, resolver, looked_up=looked_up)
         report = verify_chain(view, output_id, FULL_FIXITY, resolver,
-                              schemes)
+                              schemes, looked_up=looked_up)
     _print_chain_report(report, as_json)
     sys.exit(EXIT_OK if report.verdict == INTACT else EXIT_FINDING)
 

@@ -21,7 +21,7 @@ from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
 from cuflinks.fileio import write_atomically
 from cuflinks.links.ledger import Ledger, LedgerView
 from cuflinks.minid.client import resolve_to_bytes
-from cuflinks.minid.model import ACTIVE, TOMBSTONED
+from cuflinks.minid.model import ACTIVE, TOMBSTONED, MinidRecord
 from cuflinks.transfer import SchemeRegistry
 
 RESOLVE_ONLY = "resolve-only"
@@ -143,7 +143,8 @@ def walk_chain(ledger: Ledger | LedgerView, start: str) -> ChainGraph:
 
 def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
                  resolver, schemes: SchemeRegistry | None = None, *,
-                 checked: dict[str, NodeResult] | None = None
+                 checked: dict[str, NodeResult] | None = None,
+                 looked_up: dict[str, MinidRecord] | None = None
                  ) -> ChainReport:
     """Check that every node of the chain still holds its promises.
 
@@ -155,6 +156,9 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
     checked, when given, holds the results of nodes already checked at
     this depth against this ledger view: a node found there is not
     checked again, and each node checked here is added to it.
+
+    looked_up, when given, holds registry records the caller has just
+    resolved: a node found there is not resolved again.
     """
     if depth not in (RESOLVE_ONLY, FULL_FIXITY):
         raise ValueError(f"unknown verification depth {depth!r}")
@@ -164,6 +168,8 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
     graph = walk_chain(view, start)
     if checked is None:
         checked = {}
+    if looked_up is None:
+        looked_up = {}
 
     results: list[NodeResult] = []
     for identifier in graph.nodes:
@@ -176,7 +182,8 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
         resolved = False
         status = None
         try:
-            record = resolver.resolve(identifier)
+            record = (looked_up[identifier] if identifier in looked_up
+                      else resolver.resolve(identifier))
             status = record.status
             if status == TOMBSTONED:
                 detail_parts.append("identifier is tombstoned")

@@ -22,6 +22,7 @@ from cuflinks.errors import (CuflinksError, IdentifierError, LedgerError,
                              NotFoundError)
 from cuflinks.fileio import locked
 from cuflinks.links.records import LinkageRecord, RootRecord
+from cuflinks.minid.model import MinidRecord
 
 
 def _digest(line: bytes) -> str:
@@ -143,19 +144,25 @@ def now_utc() -> str:
             .replace("+00:00", "Z"))
 
 
-def record_linkage(ledger: Ledger, record: LinkageRecord,
-                   resolver) -> LedgerView:
+def record_linkage(ledger: Ledger, record: LinkageRecord, resolver, *,
+                   looked_up: dict[str, MinidRecord] | None = None
+                   ) -> LedgerView:
     """Append one linkage record after checking it can be honored.
 
     The output must resolve against the registry, and no earlier record
     may claim the same identifier. The output is resolved before the
     ledger is locked, so no registry call runs under the lock.
+
+    looked_up, when given, receives the output's registry record, so a
+    check that follows need not resolve it again.
     """
     try:
-        resolver.resolve(record.output)
+        output = resolver.resolve(record.output)
     except (NotFoundError, IdentifierError) as exc:
         raise LedgerError(
             f"output {record.output} does not resolve: {exc}") from exc
+    if looked_up is not None:
+        looked_up[record.output] = output
     return ledger.append(record)
 
 

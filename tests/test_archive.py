@@ -1,13 +1,16 @@
 """Single-file serialization of bags and safe extraction."""
 
+import errno
 import os
 import random
+import shutil
 import signal
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -465,6 +468,100 @@ def test_extract_refuses_damaged_member(varied_bag, tmp_path):
                                            str(tmp_path / f"cli-{method}")])
         assert result.exit_code == 1
         assert result.output.startswith("error: damaged archive")
+
+
+def _members(archive: Path) -> dict[str, zipfile.ZipInfo]:
+    with zipfile.ZipFile(archive) as handle:
+        return {info.filename: info for info in handle.infolist()
+                if not info.is_dir()}
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_extract_unpacks_largest_first_on_the_usable_cores(
+        varied_bag, tmp_path, monkeypatch, cores):
+    archive = serialize(varied_bag, tmp_path / "varied.zip")
+    members = _members(archive)
+    assert len(members) > 4 * cores  # more members than workers
+    copies = []
+    copy = shutil.copyfileobj
+
+    def recording(source, sink, *args):
+        copies.append((threading.get_ident(), source.name))
+        return copy(source, sink, *args)
+
+    monkeypatch.setattr(archive_module, "usable_cores", lambda: cores)
+    monkeypatch.setattr(shutil, "copyfileobj", recording)
+    restored = extract(archive, tmp_path / "restored")
+    assert tree_files(restored) == tree_files(varied_bag)
+    assert sorted(name for _, name in copies) == sorted(members)
+    assert len({thread for thread, _ in copies}) <= cores
+    if cores == 1:
+        assert [name for _, name in copies] == sorted(
+            members, key=lambda name: -members[name].compress_size)
+
+
+def test_extract_failure_stops_every_worker(varied_bag, tmp_path,
+                                            monkeypatch):
+    archive = serialize(varied_bag, tmp_path / "varied.zip")
+    damaged = "varied/data/a/part-05.csv"
+    members = _members(archive)
+    assert sum(info.compress_size > members[damaged].compress_size
+               for info in members.values()) >= 4
+    _flip_member_byte(archive, damaged)
+    monkeypatch.setattr(archive_module, "usable_cores", lambda: 4)
+    threads = threading.active_count()
+    parent = tmp_path / "out"
+    with pytest.raises(FormatError, match="damaged archive"):
+        extract(archive, parent)
+    assert list(parent.iterdir()) == []  # no bag and no staging directory
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("names", [
+    ["demo/bagit.txt", "demo/bagit.txt"],
+    ["demo/data/", "demo/data"],
+    ["demo/data", "demo/data/"],
+    ["demo/data", "demo/data/file"],
+], ids=["same-file", "dir-then-file", "file-then-dir", "file-under-file"])
+def test_extract_refuses_colliding_members(tmp_path, names):
+    clash = tmp_path / "clash.zip"
+    with warnings.catch_warnings(), zipfile.ZipFile(clash, "w") as handle:
+        warnings.simplefilter("ignore")  # zipfile warns of duplicates
+        handle.writestr("demo/manifest-md5.txt", "")
+        for name in names:
+            handle.writestr(name, "x")
+    with pytest.raises(FormatError, match="collides"):
+        extract(clash, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+    result = CliRunner().invoke(main, ["bag", "extract", str(clash),
+                                       str(tmp_path / "cli")])
+    assert result.exit_code == 1
+    assert list((tmp_path / "cli").iterdir()) == []
+
+
+def test_extract_refuses_more_than_the_free_space(bag_dir, tmp_path,
+                                                  monkeypatch):
+    archive = serialize(bag_dir, tmp_path / "demo.zip")
+    declared = sum(info.file_size for info in _members(archive).values())
+    free = declared - 1
+    monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result(
+        (4096, 1, 0, 0, free, 0, 0, 0, 0, 255)))
+    parent = tmp_path / "out"
+    with pytest.raises(OSError) as excinfo:
+        extract(archive, parent)
+    assert excinfo.value.errno == errno.ENOSPC
+    assert f"declare {declared} bytes" in str(excinfo.value)
+    assert f"only {free} bytes are free" in str(excinfo.value)
+    assert not parent.exists()
+
+    result = CliRunner().invoke(main, ["bag", "extract", str(archive),
+                                       str(parent)])
+    assert result.exit_code == 3
+    assert list(parent.iterdir()) == []
+
+    free = declared
+    assert extract(archive, parent).is_dir()
 
 
 def test_extract_refuses_non_zip(tmp_path):

@@ -408,6 +408,38 @@ def test_link_commands_read_the_ledger_once(runner, tmp_path, file_server,
     assert len(views) == 2
 
 
+def test_link_record_resolves_each_identifier_once(runner, tmp_path,
+                                                   file_server, monkeypatch):
+    store = tmp_path / "registry.log"
+    ledger = tmp_path / "chain.jsonl"
+    minted = {}
+    for name in ("a", "b", "c"):
+        blob = tmp_path / f"{name}.bin"
+        blob.write_bytes(f"{name} stage content\n".encode())
+        url = file_server.add(f"/{name}", blob.read_bytes())
+        minted[name] = mint(runner, store, blob, url, title=name)
+    invoke(runner, ["link", "root", minted["a"], "--actor", "t",
+                    "--ledger", str(ledger)])
+    calls = []
+    resolve = Registry.resolve
+
+    def counting(self, wanted):
+        calls.append(wanted)
+        return resolve(self, wanted)
+
+    monkeypatch.setattr(Registry, "resolve", counting)
+    for output, source in (("b", "a"), ("c", "b")):
+        calls.clear()
+        result = invoke(runner, [
+            "link", "record", "--output", minted[output],
+            "--input", minted[source],
+            "--commit", f"https://example.org/pipeline.git@{COMMIT}",
+            "--actor", "t", "--ledger", str(ledger), "--store", str(store)])
+        assert "verdict: intact" in result.output
+        chain = "abc"[:"abc".index(output) + 1]
+        assert sorted(calls) == sorted(minted[name] for name in chain)
+
+
 def test_link_record_rejects_unresolvable_output(runner, tmp_path):
     store = tmp_path / "registry.log"
     blob = tmp_path / "a.bin"
