@@ -68,6 +68,9 @@ _DOS_TIME = 0
 _MODE_0600 = 0o600 << 16
 _STORED, _DEFLATED = 0, 8
 _UTF8_NAME = 0x800
+# general purpose flags: encrypted, compressed patched data, strong
+# encryption
+_UNREADABLE = 0x1 | 0x20 | 0x40
 _CRC_OFFSET = 14  # of the CRC-32 field within a local header
 _VERSION, _ZIP64_VERSION = 20, 45
 _LIMIT = (1 << 31) - 1  # past this a size or offset needs ZIP64
@@ -334,6 +337,17 @@ def _extract(archive: zipfile.ZipFile, archive_path: Path,
         if problem:
             raise FormatError(f"unsafe member {name!r}: {problem}",
                               path=str(archive_path))
+    for info in archive.infolist():
+        # zipfile would raise RuntimeError or NotImplementedError
+        if info.flag_bits & _UNREADABLE:
+            raise FormatError(
+                f"member {info.filename!r} is encrypted or patched "
+                f"(flags {info.flag_bits:#06x})", path=str(archive_path))
+        if info.compress_type not in (_STORED, _DEFLATED):
+            raise FormatError(
+                f"member {info.filename!r} uses compression method "
+                f"{info.compress_type}; only stored and deflated members "
+                f"are read", path=str(archive_path))
     roots = {name.split("/", 1)[0] for name in names}
     if len(roots) != 1:
         raise FormatError(

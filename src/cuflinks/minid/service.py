@@ -17,15 +17,21 @@ that would leave a record larger than a reply can carry is refused too
 (413 for both). The service speaks HTTP/1.1 and keeps each connection
 open for the client's next request; a connection that stays silent for
 REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
-refused unread. Threaded server: resolution keeps working while a mint
-is in flight, and the registry serializes writers internally.
+refused unread. WORKERS threads serve connections side by side, so
+resolution keeps working while a mint is in flight, and the registry
+serializes writers internally.
 """
 
 from __future__ import annotations
 
 import json
+import select
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+import traceback
+from contextlib import suppress
+from http.server import BaseHTTPRequestHandler
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
                              NotFoundError, RecordTooLargeError,
@@ -37,6 +43,13 @@ from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
 REQUEST_TIMEOUT = 30.0
+# threads that accept and serve connections, each one connection at a
+# time; they are started with the server and are all it ever runs
+WORKERS = 16
+# a connection idle for less than this is not closed to make room for
+# a new one: its client is most likely between two requests, and may
+# send the next one on it just as it closes
+IDLE_GRACE = 0.1
 
 # the answer to an exception a route's registry call raises: the first
 # row whose classes match it wins, so a subclass comes before the class
@@ -65,6 +78,13 @@ class _Handler(BaseHTTPRequestHandler):
     token: str | None
 
     # --- plumbing -------------------------------------------------------
+
+    def handle(self) -> None:
+        # the server may close the connection between two requests
+        self.close_connection = False
+        while (not self.close_connection
+               and self.server._await_request(self)):
+            self.handle_one_request()
 
     def log_message(self, format: str, *args) -> None:
         pass  # outcomes go back to the client; no access log on stderr
@@ -218,21 +238,29 @@ class _Handler(BaseHTTPRequestHandler):
 class RegistryServer:
     """A registry bound to a listening socket.
 
-    One accept loop serves it: serve_forever() on the calling thread, or
-    start() and stop() (``with``) on a daemon thread; never both.
+    WORKERS threads accept connections and serve each one until it
+    closes. When a connection is pending and every worker holds one, the
+    connection idle the longest (at least IDLE_GRACE seconds) is closed
+    between two requests, never during one. serve_forever() runs the
+    workers and watches them from the calling thread; start() and stop()
+    (``with``) run it on a daemon thread; never both.
     """
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1",
                  port: int = 0, *, token: str | None = None) -> None:
-        handler = type("BoundHandler", (_Handler,), {
+        self._handler = type("BoundHandler", (_Handler,), {
             "registry": registry, "token": token})
         self.registry = registry
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._socket = socket.create_server((host, port),
+                                            backlog=socket.SOMAXCONN)
+        self.address: tuple[str, int] = self._socket.getsockname()[:2]
         self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        self._changed = threading.Condition()
+        self._stopping = False
+        self._free = 0  # workers holding no connection
+        self._held: set[socket.socket] = set()
+        # held connections awaiting a request, with the time since when
+        self._idle: dict[socket.socket, float] = {}
 
     @property
     def base_url(self) -> str:
@@ -241,11 +269,22 @@ class RegistryServer:
         return f"http://{host}:{port}/minid"
 
     def serve_forever(self) -> None:
-        """Accept on the calling thread until stopped, then close."""
+        """Serve on the workers until stopped; the socket is closed and
+        every worker has ended on return."""
+        self._free = WORKERS
+        workers = [threading.Thread(target=self._work, daemon=True,
+                                    name="cuflinks-registry-worker")
+                   for _ in range(WORKERS)]
         try:
-            self._server.serve_forever()
+            for worker in workers:
+                worker.start()
+            self._evict_while_full()
         finally:
-            self._server.server_close()
+            self._halt()
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+            self._socket.close()
 
     def start(self) -> "RegistryServer":
         self._thread = threading.Thread(target=self.serve_forever,
@@ -256,7 +295,7 @@ class RegistryServer:
 
     def stop(self) -> None:
         """End the loop start() began; the socket is closed on return."""
-        self._server.shutdown()
+        self._halt()
         self._thread.join()
 
     def __enter__(self) -> "RegistryServer":
@@ -264,3 +303,105 @@ class RegistryServer:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    # --- workers ---------------------------------------------------------
+
+    def _halt(self) -> None:
+        """Wake every worker and the watcher to end. A request already
+        read is answered; every later read sees end of input."""
+        with self._changed:
+            self._stopping = True
+            self._changed.notify_all()
+            for connection in self._held:
+                with suppress(OSError):
+                    connection.shutdown(socket.SHUT_RD)
+        with suppress(OSError):  # wakes accept() and poll() on it
+            self._socket.shutdown(socket.SHUT_RDWR)
+
+    def _work(self) -> None:
+        while True:
+            try:
+                connection, address = self._socket.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                continue  # e.g. the client gave up while it was pending
+            with self._changed:
+                if self._stopping:
+                    connection.close()
+                    return
+                self._free -= 1
+                self._held.add(connection)
+                if not self._free:
+                    self._changed.notify()
+            try:
+                self._handler(connection, address, self)
+            except ConnectionError:
+                pass  # the client went away
+            except Exception:  # noqa: BLE001 - the worker keeps serving
+                traceback.print_exc()
+            finally:
+                with self._changed:
+                    self._held.discard(connection)
+                    self._idle.pop(connection, None)
+                    if not self._free:
+                        self._changed.notify()
+                    self._free += 1
+                connection.close()
+
+    def _await_request(self, handler: _Handler) -> bool:
+        """Wait until the next request on handler's connection begins.
+
+        False when the connection is to close instead: the client
+        closed it or stayed silent for REQUEST_TIMEOUT, the server is
+        stopping, or the watcher evicted it to make room.
+        """
+        connection = handler.connection
+        with self._changed:
+            if self._stopping:
+                return False
+            self._idle[connection] = time.monotonic()
+            if not self._free:
+                self._changed.notify()
+        try:
+            # returns at once when a pipelined request is buffered
+            waiting = handler.rfile.peek(1)
+        except OSError:  # TimeoutError, or the client reset it
+            waiting = b""
+        with self._changed:
+            self._idle.pop(connection, None)
+        return bool(waiting)
+
+    def _evict_while_full(self) -> None:
+        """Until stopped: whenever a connection is pending and every
+        worker holds one, close the connection idle the longest once it
+        has been idle for IDLE_GRACE seconds."""
+        pending = select.poll()
+        pending.register(self._socket, select.POLLIN)
+        while True:
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: self._stopping or not self._free)
+                if self._stopping:
+                    return
+            pending.poll()  # a stop shuts the socket down, which wakes it
+            with self._changed:
+                if self._stopping or self._free or not pending.poll(0):
+                    continue
+                victim = min(self._idle, key=self._idle.__getitem__,
+                             default=None)
+                wait = (None if victim is None else
+                        self._idle[victim] + IDLE_GRACE - time.monotonic())
+                if wait is None or wait > 0:
+                    # until a connection turns idle, one has been idle
+                    # long enough, or a worker frees up
+                    self._changed.wait(wait)
+                    continue
+                # its worker sees end of input and closes it, unless a
+                # request has just begun, which it answers first
+                del self._idle[victim]
+                with suppress(OSError):
+                    victim.shutdown(socket.SHUT_RD)
+                self._changed.wait_for(
+                    lambda: self._stopping or victim not in self._held,
+                    IDLE_GRACE)

@@ -13,6 +13,7 @@ requests to one host opens one connection to it per concurrent request.
 from __future__ import annotations
 
 import base64
+import os
 import select
 import ssl
 import threading
@@ -91,6 +92,17 @@ def _read(response: HTTPResponse, amount: int, request: str) -> bytes:
     return data
 
 
+def _proxy_setting(scheme: str) -> str | None:
+    """<scheme>_proxy by urllib's rules: the lower-case name wins, even
+    set empty; HTTP_PROXY is ignored under CGI (REQUEST_METHOD set),
+    where a client's Proxy header can set it."""
+    value = os.environ.get(f"{scheme}_proxy")
+    if value is None and not (scheme == "http"
+                              and "REQUEST_METHOD" in os.environ):
+        value = os.environ.get(f"{scheme.upper()}_PROXY")
+    return value or None
+
+
 class Transport:
     """HTTP/1.1 connections kept alive between requests.
 
@@ -99,13 +111,15 @@ class Transport:
     at a time. A connection goes back to the pool only when its
     response was read to the end and the server keeps it open;
     otherwise it is closed. The http_proxy, https_proxy and no_proxy
-    environment variables are read once, when the transport is made.
+    environment variables, or their upper-case names, are read once,
+    when the transport is made.
     GET follows at most MAX_REDIRECTS redirects, and drops the
     Authorization header when one leads to another origin.
     """
 
     def __init__(self) -> None:
-        self._proxies = urllib.request.getproxies_environment()
+        self._proxies = {scheme: proxy for scheme in ("http", "https", "no")
+                         if (proxy := _proxy_setting(scheme))}
         self._idle: dict[Origin, list[HTTPConnection]] = {}
         self._lock = threading.Lock()
         self._closed = False

@@ -540,6 +540,30 @@ def test_extract_refuses_colliding_members(tmp_path, names):
     assert list((tmp_path / "cli").iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, method", [
+    (0x1, zipfile.ZIP_STORED),
+    (0x20, zipfile.ZIP_DEFLATED),
+    (0x40, zipfile.ZIP_STORED),
+    (0, zipfile.ZIP_BZIP2),
+], ids=["encrypted", "patched", "strongly-encrypted", "bzip2"])
+def test_extract_refuses_members_it_cannot_read(tmp_path, flags, method):
+    odd = tmp_path / "odd.zip"
+    with zipfile.ZipFile(odd, "w") as handle:
+        handle.writestr("demo/bagit.txt", "x")
+        handle.writestr("demo/data/file", "payload", compress_type=method)
+        # zipfile reads the flags of the central directory, written last
+        handle.getinfo("demo/data/file").flag_bits |= flags
+    with pytest.raises(FormatError, match="'demo/data/file'"):
+        extract(odd, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+    result = CliRunner().invoke(main, ["bag", "extract", str(odd),
+                                       str(tmp_path / "cli")])
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert list((tmp_path / "cli").iterdir()) == []
+
+
 def test_extract_refuses_more_than_the_free_space(bag_dir, tmp_path,
                                                   monkeypatch):
     archive = serialize(bag_dir, tmp_path / "demo.zip")

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,8 @@ from cuflinks import cli
 from cuflinks.cli import main
 from cuflinks.hashing import digest_file
 from cuflinks.links import Ledger
-from cuflinks.minid import Checksum, Registry, RegistryClient
+from cuflinks.minid import (Checksum, Registry, RegistryClient,
+                            RegistryServer)
 from cuflinks.transfer import Transport
 
 from test_fetch import punch_holes
@@ -260,19 +260,21 @@ def test_resolve_download_looks_up_once(runner, tmp_path, file_server,
 def test_registry_serve_runs_one_accept_loop(runner, tmp_path,
                                              monkeypatch):
     loops = []
-    serve = ThreadingHTTPServer.serve_forever
+    watch = RegistryServer._evict_while_full
 
-    def recording(server, *args, **kwargs):
+    def recording(server):
         loops.append((server, threading.current_thread()))
         if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
-        serve(server, *args, **kwargs)
+        watch(server)
 
-    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", recording)
+    monkeypatch.setattr(RegistryServer, "_evict_while_full", recording)
+    threads = threading.active_count()
     invoke(runner, ["registry", "serve", "--store",
                     str(tmp_path / "registry.log"), "--port", "0"])
     assert [thread for _, thread in loops] == [threading.main_thread()]
-    assert loops[0][0].socket.fileno() == -1  # closed when the loop ended
+    assert loops[0][0]._socket.fileno() == -1  # closed when the loop ended
+    assert threading.active_count() == threads  # and every worker ended
 
 
 def test_registry_serve_stops_at_once_on_sigint(tmp_path):

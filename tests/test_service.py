@@ -1,10 +1,14 @@
 """The resolution API over real sockets, exercised through the client."""
 
+import http.client
 import json
 import os
+import random
+import socket
 import struct
 import sys
 import threading
+import time
 import urllib.request
 import zlib
 
@@ -15,8 +19,9 @@ from cuflinks.errors import (IdentifierError, NotFoundError, RegistryError,
 from cuflinks.minid import (Checksum, Registry, RegistryClient,
                             RegistryServer)
 from cuflinks.minid import registry as registry_module
-from cuflinks.minid import store
+from cuflinks.minid import service, store
 from cuflinks.minid.model import MAX_BODY_BYTES, MAX_RECORD_BYTES
+from cuflinks.minid.service import REQUEST_TIMEOUT
 from cuflinks.transfer import Transport
 
 from conftest import FIXED_INSTANT
@@ -192,7 +197,6 @@ def test_refused_body_is_never_read_as_a_request(tmp_path, head, body,
                                                  status):
     """A request refused before its body is read ends the connection:
     a request smuggled in the body is never answered."""
-    import socket
     registry = Registry.open(tmp_path / "registry.log")
     with RegistryServer(registry, token="sesame") as server, \
             socket.create_connection(server.address, timeout=5) as sock:
@@ -266,7 +270,6 @@ def test_post_with_bad_body_is_400(server):
     pytest.param("Content-Length: 99999999", 413, id="99999999-413"),
     pytest.param("Transfer-Encoding: chunked", 400, id="chunked-400")])
 def test_unusable_content_length_is_refused(server, header, status):
-    import socket
     with socket.create_connection(server.address, timeout=2) as sock:
         sock.sendall(f"POST /minid HTTP/1.1\r\nHost: registry\r\n"
                      f"{header}\r\n\r\n".encode())
@@ -404,3 +407,149 @@ def test_reads_racing_updates_end_at_the_last_acknowledged_one(tmp_path):
     assert len(last.locations) == 21
     with Registry.open(path, read_only=True) as reopened:
         assert reopened.resolve(identifier) == last
+
+
+# --- the fixed set of workers ----------------------------------------------
+
+def idle_connection(server) -> http.client.HTTPConnection:
+    """A connection kept alive after one answered request."""
+    connection = http.client.HTTPConnection(*server.address, timeout=30)
+    connection.request("GET", "/healthz")
+    response = connection.getresponse()
+    assert response.status == 200
+    response.read()
+    return connection
+
+
+def test_connect_and_close_never_waits_for_the_backlog(server):
+    slowest = 0.0
+    for _ in range(150):
+        started = time.monotonic()
+        socket.create_connection(server.address, timeout=5).close()
+        slowest = max(slowest, time.monotonic() - started)
+    assert slowest < 0.5  # a full backlog costs a SYN retransmit, ~1 s
+
+
+def test_idle_connections_hold_at_most_the_workers(tmp_path):
+    threads = threading.active_count()
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry) as server:
+        connections = [idle_connection(server) for _ in range(50)]
+        try:
+            assert (threading.active_count() - threads
+                    <= service.WORKERS + 1)
+        finally:
+            for connection in connections:
+                connection.close()
+
+
+def test_idle_connections_do_not_starve_a_new_client(client, server):
+    identifier = mint(client)
+    transports = [Transport() for _ in range(service.WORKERS + 1)]
+    try:
+        clients = [RegistryClient(server.base_url, transport=transport)
+                   for transport in transports]
+        for held in clients[:-1]:  # one idle connection per worker
+            held.resolve(identifier)
+        started = time.monotonic()
+        assert clients[-1].resolve(identifier).identifier == identifier
+        assert time.monotonic() - started < REQUEST_TIMEOUT / 10
+        # the evicted connection is replaced on its client's next call
+        for held in clients:
+            assert held.resolve(identifier).identifier == identifier
+    finally:
+        for transport in transports:
+            transport.close()
+
+
+def test_stop_ends_every_worker_and_closes_the_socket(tmp_path):
+    threads = set(threading.enumerate())
+    with Registry.open(tmp_path / "registry.log") as registry:
+        server = RegistryServer(registry).start()
+        connection = idle_connection(server)
+        try:
+            server.stop()
+        finally:
+            connection.close()
+    assert set(threading.enumerate()) == threads
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(server.address, timeout=5).close()
+
+
+def test_history_of_concurrent_clients_survives_a_reopen(tmp_path,
+                                                         monkeypatch):
+    """Clients outnumber the workers; every acknowledged write is in the
+    replayed log, and every reply holds the write it acknowledges."""
+    monkeypatch.setattr(service, "WORKERS", 3)
+    path = tmp_path / "registry.log"
+    with Registry.open(path) as registry:
+        shared = [registry.mint("t", "shared", (URL,),
+                                Checksum("sha256", SHA)).identifier
+                  for _ in range(4)]
+    minted: dict[str, tuple[str, str]] = {}  # identifier -> title, digest
+    added: dict[str, set[str]] = {identifier: set()
+                                  for identifier in shared}
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work(n: int, base_url: str) -> None:
+        rng = random.Random(1700 + n)
+        mine: dict[str, set[str]] = {}  # this client's acknowledged adds
+        with Transport() as transport:
+            local = RegistryClient(base_url, transport=transport)
+            for step in range(50):
+                if rng.random() < 0.05:  # idle long enough to be evicted
+                    time.sleep(3 * service.IDLE_GRACE)
+                targets = shared + sorted(mine.keys() - set(shared))
+                action = rng.choice(("mint", "add", "add", "resolve"))
+                if action == "mint":
+                    title, digest = f"c{n}-{step}", f"{n:02x}{step:062x}"
+                    record = local.mint("t", title, (URL,),
+                                        Checksum("sha256", digest))
+                    assert (record.title, record.checksum.digest,
+                            record.locations) == (title, digest, (URL,))
+                    with lock:
+                        minted[record.identifier] = (title, digest)
+                        added[record.identifier] = set()
+                    mine[record.identifier] = set()
+                elif action == "add":
+                    identifier = rng.choice(targets)
+                    location = f"https://mirror.org/{n}/{step}"
+                    record = local.update_locations(
+                        identifier, add=(location,), actor=f"c{n}")
+                    assert location in record.locations
+                    with lock:
+                        added[identifier].add(location)
+                    mine.setdefault(identifier, set()).add(location)
+                else:
+                    identifier = rng.choice(targets)
+                    record = local.resolve(identifier)
+                    assert record.identifier == identifier
+                    # this client's earlier writes precede the read
+                    assert mine.get(identifier, set()) <= set(
+                        record.locations)
+
+    def run(n: int, base_url: str) -> None:
+        try:
+            work(n, base_url)
+        except BaseException as exc:  # noqa: BLE001 - checked below
+            errors.append(exc)
+
+    with Registry.open(path) as registry, \
+            RegistryServer(registry) as server:
+        threads = [threading.Thread(target=run, args=(n, server.base_url))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    assert not errors, errors
+    assert minted
+    with Registry.open(path, read_only=True) as reopened:
+        assert len(reopened) == len(shared) + len(minted)
+        for identifier, (title, digest) in minted.items():
+            record = reopened.resolve(identifier)
+            assert (record.title, record.checksum.digest) == (title, digest)
+        for identifier, locations in added.items():
+            assert locations <= set(reopened.resolve(identifier).locations)

@@ -1,8 +1,10 @@
 """HTTP transport, fetching, scheme dispatch, and retry behavior."""
 
 import io
+import os
 import socket
 import threading
+import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -167,6 +169,35 @@ def test_http_proxy_from_the_environment(forward_proxy, file_server,
     assert sink.getvalue() == b"direct"
     assert file_server.requests == ["/direct"]
     assert len(forward_proxy.targets) == 1
+
+
+@pytest.mark.parametrize("environment", [
+    {"http_proxy": "http://lower:1", "https_proxy": "http://lower:2",
+     "no_proxy": "example.org"},
+    {"HTTP_PROXY": "http://upper:1", "HTTPS_PROXY": "http://upper:2",
+     "NO_PROXY": "example.org"},
+    {"http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:1",
+     "HTTPS_PROXY": "http://upper:2", "https_proxy": "http://lower:2"},
+    {"http_proxy": "", "HTTP_PROXY": "http://upper:1", "https_proxy": "",
+     "NO_PROXY": ""},
+    {"all_proxy": "http://all:1", "ALL_PROXY": "http://all:2",
+     "ftp_proxy": "http://ftp:1"},
+    {"REQUEST_METHOD": "GET", "HTTP_PROXY": "http://upper:1",
+     "HTTPS_PROXY": "http://upper:2"},
+    {"REQUEST_METHOD": "GET", "http_proxy": "http://lower:1",
+     "HTTP_PROXY": "http://upper:1"},
+], ids=["lower", "upper", "both", "empty", "all", "cgi-upper", "cgi-lower"])
+def test_proxies_follow_urllib(environment, monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    expected = {scheme: proxy for scheme, proxy
+                in urllib.request.getproxies_environment().items()
+                if scheme in ("http", "https", "no")}
+    with Transport() as transport:
+        assert transport._proxies == expected
 
 
 @contextmanager
