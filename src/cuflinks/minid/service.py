@@ -17,9 +17,9 @@ that would leave a record larger than a reply can carry is refused too
 (413 for both). The service speaks HTTP/1.1 and keeps each connection
 open for the client's next request; a connection that stays silent for
 REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
-refused unread. WORKERS threads serve connections side by side, so
-resolution keeps working while a mint is in flight, and the registry
-serializes writers internally.
+refused unread. Each reply goes out in one write. WORKERS threads serve
+connections side by side, so resolution keeps working while a mint is
+in flight, and the registry serializes writers internally.
 """
 
 from __future__ import annotations
@@ -68,8 +68,11 @@ _ERRORS = (
 class _Handler(BaseHTTPRequestHandler):
     server_version = USER_AGENT
     protocol_version = "HTTP/1.1"
-    # headers and body go out as separate writes; without TCP_NODELAY
-    # a kept-alive connection waits on the peer's delayed ACK
+    # a reply's status line, header fields and body are buffered and
+    # sent in one write when handle_one_request or finish flushes them
+    wbufsize = 64 * 1024
+    # a reply larger than the buffer goes out in more than one write;
+    # without TCP_NODELAY the last of them waits on the peer's delayed ACK
     disable_nagle_algorithm = True
     # per-connection socket timeout: a client that declares more body
     # than it sends frees its thread instead of holding it
@@ -88,6 +91,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         pass  # outcomes go back to the client; no access log on stderr
+
+    def handle_expect_100(self) -> bool:
+        # a client that waits for the interim reply sends its body after
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send(self, status: int, body: dict) -> None:
         payload = render_body(body)

@@ -8,20 +8,22 @@ activity so callers can pre-check a whole batch.
 Every HTTP request goes through a Transport, which keeps connections
 alive between requests (RFC 9112 §9) so that a command making many
 requests to one host opens one connection to it per concurrent request.
+The transport frames HTTP/1.1 itself (RFC 9112): each request goes out
+in one write, and each reply is parsed within http.client's bounds.
 """
 
 from __future__ import annotations
 
 import base64
 import os
+import re
 import select
+import socket
 import ssl
 import threading
 import time
 import urllib.request
 from contextlib import contextmanager
-from http.client import (HTTPConnection, HTTPException, HTTPResponse,
-                         HTTPSConnection)
 from string import punctuation
 from typing import BinaryIO, Callable, Iterator, Mapping, Protocol
 from urllib.parse import quote, unquote, urljoin, urlsplit
@@ -35,6 +37,17 @@ _STREAM_CHUNK = 64 * 1024
 _REDIRECTS = (301, 302, 303, 307, 308)
 # the bytes hashed must be the bytes served, so no content coding
 _HEADERS = {"User-Agent": USER_AGENT, "Accept-Encoding": "identity"}
+# http.client's bounds on a reply's lines and header fields
+_MAX_LINE = 64 * 1024
+_MAX_FIELDS = 100
+# each would end a request line or header field early
+_UNSAFE_FIELD = re.compile(r"[\r\n\0]")
+# a request target is visible ASCII: no whitespace, controls or others
+_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9]{2})(?: [^\r]*)?")
+# a length that fits in 63 bits, in decimal or as a chunk size in hex
+_LENGTH = re.compile(rb"[0-9]{1,18}")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
@@ -51,25 +64,193 @@ def _origin(url: str) -> tuple[Origin, str]:
         if scheme not in ("http", "https") or not parts.hostname:
             raise ValueError("not an absolute http(s) URL")
         port = parts.port or (443 if scheme == "https" else 80)
-    except ValueError as exc:
+        host = parts.hostname
+        if not host.isascii():  # an internationalized name, as http.client
+            host = host.encode("idna").decode("ascii")
+    except ValueError as exc:  # UnicodeError among them
         raise TransferError(f"unusable URL {url!r}: {exc}") from exc
     target = parts.path or "/"
     if parts.query:
         target += "?" + parts.query
-    # percent-encode what http.client would refuse: spaces, controls and
-    # non-ASCII characters; existing escapes and delimiters stay as given
-    return (scheme, parts.hostname, port), quote(target, safe=punctuation)
+    # percent-encode what a request line cannot carry: spaces, controls
+    # and non-ASCII characters; existing escapes and delimiters stay
+    return (scheme, host, port), quote(target, safe=punctuation)
 
 
-def _is_stale(connection: HTTPConnection) -> bool:
+def _authority(host: str, port: int, default: int | None = None) -> str:
+    """host:port as a Host field or CONNECT target; an IPv6 literal is
+    bracketed, and the default port left out."""
+    if ":" in host:
+        host = f"[{host}]"
+    return host if port == default else f"{host}:{port}"
+
+
+def _request(method: str, target: str, host: str,
+             headers: Mapping[str, str], body: bytes | None) -> bytes:
+    """The bytes of one HTTP/1.1 request; a ValueError for a method,
+    target or header field that would change how it is framed."""
+    if _UNSAFE_FIELD.search("".join((method, *headers, *headers.values()))):
+        raise ValueError("a method or header field contains CR, LF or NUL")
+    if _UNSAFE_TARGET.search(target):
+        raise ValueError(f"request target {target!r} contains whitespace "
+                         f"or control characters")
+    if body is not None or method in ("POST", "PUT", "PATCH"):
+        headers = {**headers, "Content-Length": str(len(body or b""))}
+    head = "".join([f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n",
+                    *(f"{name}: {value}\r\n"
+                      for name, value in headers.items()), "\r\n"])
+    # UnicodeEncodeError is a ValueError
+    return head.encode("latin-1") + (body or b"")
+
+
+def _line(reader: BinaryIO) -> bytes:
+    """One line of a reply, without its line end."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise TransferError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise TransferError("the server closed the connection before "
+                            "the reply ended")
+    return line.rstrip(b"\r\n")
+
+
+def _fields(reader: BinaryIO) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the empty line, by lower-case
+    name; a repeated name's values are joined with commas."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(reader)
+        if not line:
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon or not name:
+            raise TransferError(f"malformed header field {line[:80]!r}")
+        name, value = name.lower(), value.strip(b" \t")
+        fields[name] = (fields[name] + b", " + value if name in fields
+                        else value)
+    raise TransferError(f"more than {_MAX_FIELDS} header fields")
+
+
+def _head(reader: BinaryIO) -> tuple[bool, int, dict[bytes, bytes]]:
+    """Whether a reply is HTTP/1.1 or later, its status and its header
+    fields; 1xx interim replies before it are skipped."""
+    while True:
+        line = _line(reader)
+        status = _STATUS_LINE.fullmatch(line)
+        if status is None:
+            raise TransferError(f"malformed status line {line[:80]!r}")
+        fields = _fields(reader)
+        if not status[2].startswith(b"1"):
+            return status[1] != b"0", int(status[2]), fields
+
+
+class _Response:
+    """A reply's status and header fields, and its body as RFC 9112
+    §6.3 frames it.
+
+    done is true once the whole body has been read, and keep when the
+    connection can carry another request after it.
+    """
+
+    def __init__(self, reader: BinaryIO) -> None:
+        self._reader = reader
+        self.keep, self.status, self.fields = _head(reader)
+        connection = self.fields.get(b"connection")
+        if connection is not None and b"close" in (
+                token.strip() for token in connection.lower().split(b",")):
+            self.keep = False
+        self.done = False
+        self._chunked = False
+        # bytes of the body, or of the current chunk, not yet read;
+        # None for a body that ends when the connection closes
+        self._left: int | None = 0
+        length = self.fields.get(b"content-length")
+        coding = self.fields.get(b"transfer-encoding")
+        if self.status in (204, 304):
+            self.done = True
+        elif coding is not None:
+            self._chunked = (coding.rpartition(b",")[2].strip().lower()
+                             == b"chunked")
+            if not self._chunked:
+                self._left = None
+            # a body read to the close, or one that states both framings
+            # (the peer may mean either): nothing more follows on it
+            if not self._chunked or length is not None:
+                self.keep = False
+        elif length is not None:
+            values = {value.strip() for value in length.split(b",")}
+            if len(values) != 1 or not _LENGTH.fullmatch(
+                    value := values.pop()):
+                raise TransferError(f"bad Content-Length {length[:80]!r}")
+            self._left = int(value)
+            self.done = not self._left
+        else:
+            self._left = None
+            self.keep = False
+
+    def read(self, amount: int) -> bytes:
+        """Up to amount bytes of the body; b"" once it has all been
+        read. A body that ends before its framing says is a
+        TransferError."""
+        if self.done:
+            return b""
+        if self._chunked:
+            return self._read_chunks(amount)
+        if self._left is None:
+            data = self._reader.read(amount)
+            self.done = not data
+            return data
+        wanted = min(amount, self._left)
+        data = self._reader.read(wanted)
+        self._left -= len(data)
+        if len(data) < wanted:
+            raise TransferError(f"{self._left} bytes missing")
+        self.done = not self._left
+        return data
+
+    def _read_chunks(self, amount: int) -> bytes:
+        parts = []
+        while amount:
+            if not self._left:
+                size = _line(self._reader).partition(b";")[0].strip(b" \t")
+                if not _CHUNK_SIZE.fullmatch(size):
+                    raise TransferError(f"bad chunk size {size[:80]!r}")
+                self._left = int(size, 16)
+                if not self._left:  # the last chunk; trailer fields follow
+                    _fields(self._reader)
+                    self.done = True
+                    break
+            data = self._reader.read(min(amount, self._left))
+            if not data:
+                raise TransferError(f"{self._left} bytes of a chunk missing")
+            parts.append(data)
+            amount -= len(data)
+            self._left -= len(data)
+            if not self._left and _line(self._reader):
+                raise TransferError("chunk longer than its size")
+        return b"".join(parts)
+
+
+class _Connection:
+    """One socket and the buffered reader over it, kept for the
+    connection's whole life."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _is_stale(connection: _Connection) -> bool:
     """True when an idle connection cannot carry another request.
 
     An idle kept-alive connection has nothing to read; if it is
     readable, the peer has closed it (or sent bytes no request asked
     for), and a request sent on it would fail.
     """
-    if connection.sock is None:
-        return True
     # poll, unlike select, takes descriptors above FD_SETSIZE
     poller = select.poll()
     poller.register(connection.sock, select.POLLIN)
@@ -79,17 +260,13 @@ def _is_stale(connection: HTTPConnection) -> bool:
         return True
 
 
-def _read(response: HTTPResponse, amount: int, request: str) -> bytes:
-    """Up to amount bytes of the body; one that ends before its
-    Content-Length is a TransferError."""
+def _read(response: _Response, amount: int, request: str) -> bytes:
+    """Up to amount bytes of the body; one that ends before its framing
+    says, or is malformed, is a TransferError."""
     try:
-        data = response.read(amount)
-    except (OSError, HTTPException) as exc:
+        return response.read(amount)
+    except (OSError, TransferError) as exc:
         raise TransferError(f"{request} interrupted mid-body: {exc}") from exc
-    if len(data) < amount and response.length:
-        raise TransferError(f"{request} interrupted mid-body: "
-                            f"{response.length} bytes missing")
-    return data
 
 
 def _proxy_setting(scheme: str) -> str | None:
@@ -120,7 +297,7 @@ class Transport:
     def __init__(self) -> None:
         self._proxies = {scheme: proxy for scheme in ("http", "https", "no")
                          if (proxy := _proxy_setting(scheme))}
-        self._idle: dict[Origin, list[HTTPConnection]] = {}
+        self._idle: dict[Origin, list[_Connection]] = {}
         self._lock = threading.Lock()
         self._closed = False
         self._tls: ssl.SSLContext | None = None
@@ -168,7 +345,7 @@ class Transport:
 
     @contextmanager
     def _exchange(self, method: str, url: str, body: bytes | None,
-                  headers: Mapping[str, str]) -> Iterator[HTTPResponse]:
+                  headers: Mapping[str, str]) -> Iterator[_Response]:
         """The response to method url, past any redirects a GET follows.
 
         Its connection is released when the block ends.
@@ -179,7 +356,7 @@ class Transport:
             origin, target = _origin(url)
             connection, response = self._send(origin, method, target, body,
                                               headers, url)
-            location = response.getheader("Location")
+            location = response.fields.get(b"location")
             if (method != "GET" or response.status not in _REDIRECTS
                     or location is None):
                 break
@@ -187,10 +364,10 @@ class Transport:
             # be pooled; a long one is left, and the connection closed
             try:
                 response.read(_STREAM_CHUNK)
-            except (OSError, HTTPException):
+            except (OSError, TransferError):
                 pass
             self._release(origin, connection, response)
-            url = urljoin(url, location)
+            url = urljoin(url, location.decode("latin-1"))
             if _origin(url)[0] != origin:  # credentials stay with origin
                 headers.pop("Authorization", None)
         else:
@@ -203,7 +380,7 @@ class Transport:
 
     def _send(self, origin: Origin, method: str, target: str,
               body: bytes | None, headers: dict[str, str], url: str
-              ) -> tuple[HTTPConnection, HTTPResponse]:
+              ) -> tuple[_Connection, _Response]:
         scheme, host, port = origin
         proxy = self._proxy(scheme, host)
         if proxy is not None and scheme == "http":
@@ -211,17 +388,24 @@ class Transport:
             authority = urlsplit(url).netloc.rpartition("@")[2]
             target = f"http://{authority}{target}"
             headers = {**headers, **proxy[2]}
+        try:
+            request = _request(
+                method, target,
+                _authority(host, port, 443 if scheme == "https" else 80),
+                headers, body)
+        except ValueError as exc:
+            raise TransferError(f"{method} {url} refused: {exc}") from None
         connection = self._checkout(origin)
         reused = connection is not None
         while True:
-            if connection is None:
-                connection = self._connect(origin, proxy)
             try:
-                connection.request(method, target, body=body,
-                                   headers=headers)
-                return connection, connection.getresponse()
-            except (OSError, HTTPException) as exc:
-                connection.close()
+                if connection is None:
+                    connection = self._connect(origin, proxy)
+                connection.sock.sendall(request)
+                return connection, _Response(connection.reader)
+            except (OSError, TransferError) as exc:
+                if connection is not None:
+                    connection.close()
                 # the server may drop an idle connection just as it is
                 # reused; a GET is safe to send again on a new one
                 if not (reused and method == "GET"):
@@ -229,7 +413,7 @@ class Transport:
                         f"{method} {url} failed: {exc}") from exc
                 connection, reused = None, False
 
-    def _checkout(self, origin: Origin) -> HTTPConnection | None:
+    def _checkout(self, origin: Origin) -> _Connection | None:
         while True:
             with self._lock:
                 idle = self._idle.get(origin)
@@ -240,14 +424,13 @@ class Transport:
                 return connection
             connection.close()
 
-    def _release(self, origin: Origin, connection: HTTPConnection,
-                 response: HTTPResponse) -> None:
-        if response.isclosed() and not response.will_close:
+    def _release(self, origin: Origin, connection: _Connection,
+                 response: _Response) -> None:
+        if response.done and response.keep:
             with self._lock:
                 if not self._closed:
                     self._idle.setdefault(origin, []).append(connection)
                     return
-        response.close()
         connection.close()
 
     def _proxy(self, scheme: str, host: str
@@ -272,21 +455,40 @@ class Transport:
 
     def _connect(self, origin: Origin,
                  proxy: tuple[str, int, dict[str, str]] | None
-                 ) -> HTTPConnection:
+                 ) -> _Connection:
         """A new connection to origin; HTTPS through a proxy tunnels
         with CONNECT."""
         scheme, host, port = origin
         address = (host, port) if proxy is None else proxy[:2]
-        if scheme == "http":
-            return HTTPConnection(*address, timeout=DEFAULT_TIMEOUT)
-        with self._lock:
-            if self._tls is None:  # loading the CA store takes a while
-                self._tls = ssl.create_default_context()
-        connection = HTTPSConnection(*address, timeout=DEFAULT_TIMEOUT,
-                                     context=self._tls)
-        if proxy is not None:
-            connection.set_tunnel(host, port, headers=proxy[2])
-        return connection
+        sock = socket.create_connection(address, timeout=DEFAULT_TIMEOUT)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                if proxy is not None:
+                    _tunnel(sock, _authority(host, port), proxy[2])
+                with self._lock:
+                    if self._tls is None:  # loading the CA store is slow
+                        self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=host)
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
+
+
+def _tunnel(sock: socket.socket, authority: str,
+            headers: Mapping[str, str]) -> None:
+    """Ask the proxy at the other end of sock for a tunnel to authority.
+
+    The proxy says nothing more until the client speaks through the
+    tunnel, so a reader made for its reply holds nothing that follows.
+    """
+    sock.sendall(_request("CONNECT", authority, authority, headers, None))
+    with sock.makefile("rb") as reader:
+        _, status, _ = _head(reader)
+    if not 200 <= status < 300:
+        raise TransferError(f"proxy refused CONNECT {authority}: "
+                            f"status {status}")
 
 
 class Fetcher(Protocol):

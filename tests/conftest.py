@@ -4,6 +4,7 @@ a resolver that counts lookups."""
 from __future__ import annotations
 
 import functools
+import ssl
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,9 +57,10 @@ class FileServer:
     fail_next to refuse a number of requests, map a path to a Location
     in redirects, and read requests to see exactly what was asked for
     and peers to see over which connections. Connections are kept alive.
+    Given a server-side TLS context, it speaks HTTPS.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tls: ssl.SSLContext | None = None) -> None:
         self.content: dict[str, bytes] = {}
         self.requests: list[str] = []
         self.headers_seen: list[dict] = []
@@ -106,6 +108,10 @@ class FileServer:
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         # closing does not wait for a client to drop its idle connection
         self._httpd.block_on_close = False
+        self._scheme = "http" if tls is None else "https"
+        if tls is not None:
+            self._httpd.socket = tls.wrap_socket(self._httpd.socket,
+                                                 server_side=True)
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
         self._thread.start()
@@ -113,7 +119,7 @@ class FileServer:
     @property
     def base_url(self) -> str:
         host, port = self._httpd.server_address
-        return f"http://{host}:{port}"
+        return f"{self._scheme}://{host}:{port}"
 
     def url(self, path: str) -> str:
         return self.base_url + path

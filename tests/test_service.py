@@ -210,6 +210,48 @@ def test_refused_body_is_never_read_as_a_request(tmp_path, head, body,
     assert b"connection: close" in reply.lower()
 
 
+def test_each_reply_goes_out_in_one_write(client, server, monkeypatch):
+    """Status line, header fields and body leave in one write: a record,
+    a route's error, a refusal that ends the connection, and the
+    standard library's own error page."""
+    identifier = mint(client)
+    writes = []
+    write = socket.SocketIO.write
+
+    def recorded(self, data):
+        writes.append(bytes(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socket.SocketIO, "write", recorded)
+    assert client.resolve(identifier).identifier == identifier
+    with pytest.raises(NotFoundError):
+        client.resolve("minid:fPTs86M7VTyb")
+    for request in (b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+                    b"PUT /minid HTTP/1.1\r\n\r\n"):
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(request)
+            while sock.recv(4096):
+                pass  # until the server closes the connection
+    assert [reply[:12] for reply in writes] == [
+        b"HTTP/1.1 200", b"HTTP/1.1 404", b"HTTP/1.1 400", b"HTTP/1.1 501"]
+    for reply in writes:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"Content-Length: %d\r\n" % len(body) in head + b"\r\n"
+
+
+def test_interim_reply_is_sent_before_the_body_is_read(server):
+    """A client that sends Expect: 100-continue waits for the interim
+    reply before it sends the body."""
+    body = json.dumps(MINT_BODY).encode()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /minid HTTP/1.1\r\nHost: registry\r\n"
+                     b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+                     % len(body))
+        assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        assert sock.recv(4096).startswith(b"HTTP/1.1 201 ")
+
+
 def test_every_record_fits_the_client_reply_cap(tmp_path, transport):
     """Writes that would leave a record larger than a reply can carry
     are refused, so whatever the service stores its client can read."""

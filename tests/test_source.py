@@ -90,7 +90,8 @@ def test_no_third_party_imports_but_click():
 
 
 def test_importing_the_cli_loads_no_http_library():
-    """HTTP goes through the standard library's http.client."""
+    """HTTP goes through the package's own HTTP/1.1 codec in
+    cuflinks.transfer; no third-party HTTP library is loaded."""
     code = ("import sys, cuflinks.cli; "
             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], check=True,

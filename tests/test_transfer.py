@@ -1,20 +1,30 @@
 """HTTP transport, fetching, scheme dispatch, and retry behavior."""
 
+import base64
 import io
 import os
+import selectors
 import socket
+import ssl
 import threading
 import urllib.request
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
 from conftest import FileServer
 from cuflinks import transfer
 from cuflinks.errors import SchemeError, TransferError
+from cuflinks.minid import Checksum, RegistryClient
 from cuflinks.transfer import (MAX_REDIRECTS, HttpFetcher, SchemeRegistry,
                                Transport, fetch_with_retries)
+
+# a self-signed certificate for localhost and 127.0.0.1, and its key
+CERTIFICATE = Path(__file__).parent / "tls" / "localhost.pem"
+KEY = Path(__file__).parent / "tls" / "localhost.key"
 
 
 @pytest.fixture
@@ -201,20 +211,24 @@ def test_proxies_follow_urllib(environment, monkeypatch):
 
 
 @contextmanager
-def raw_server(*replies: bytes):
-    """Answers one request per connection, with each reply in turn, and
-    closes the connection after it; yields the URL and a semaphore
-    released once per reply sent."""
+def raw_server(*replies: bytes, kept: bool = False):
+    """Answers each request with the next reply, and closes each
+    connection after its reply or, when kept, one connection after them
+    all; yields the URL and a semaphore released once per reply sent,
+    when its connection has been closed."""
     listener = socket.create_server(("127.0.0.1", 0))
     answered = threading.Semaphore(0)
 
     def serve():
-        for reply in replies:
+        for batch in [replies] if kept else [[reply] for reply in replies]:
             connection, _ = listener.accept()
             with connection:
-                connection.recv(65536)
-                connection.sendall(reply)
-            answered.release()
+                for reply in batch:
+                    connection.recv(65536)
+                    with suppress(ConnectionError):  # the client gave up
+                        connection.sendall(reply)
+            for _ in batch:
+                answered.release()
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
@@ -311,3 +325,294 @@ def test_retries_exhaust(file_server, fetcher):
     assert delays == [0.5, 1.0]
     assert "3 attempts" in str(excinfo.value)
     assert file_server.requests.count("/down") == 3
+
+
+# --- the HTTP/1.1 codec ------------------------------------------------------
+
+def pooled(transport: Transport) -> int:
+    """The idle connections a transport holds."""
+    return sum(map(len, transport._idle.values()))
+
+
+def test_chunked_reply_keeps_its_connection(transport):
+    """Chunk extensions and trailer fields are read past, and the
+    connection carries the next request."""
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n"
+               b"\r\n3;name=value\r\nabc\r\n2\r\nde\r\n0\r\n"
+               b"Expires: never\r\n\r\n")
+    with raw_server(chunked, chunked, kept=True) as (url, _):
+        assert transport.call("GET", url, limit=100) == (200, b"abcde")
+        assert pooled(transport) == 1
+        sink = io.BytesIO()
+        assert transport.get(url, sink) == 5
+        assert sink.getvalue() == b"abcde"
+
+
+def test_interim_replies_are_skipped(transport):
+    reply = (b"HTTP/1.1 100 Continue\r\n\r\n"
+             b"HTTP/1.1 102 Processing\r\nX-Step: 1\r\n\r\n"
+             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+    with raw_server(reply) as (url, _):
+        assert transport.call("GET", url, limit=10) == (200, b"ok")
+
+
+@pytest.mark.parametrize("reply,body,kept", [
+    (b"HTTP/1.1 204 No Content\r\n\r\n", b"", True),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 2, 2\r\n\r\nok", b"ok", True),
+    (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", b"ok", False),
+    (b"HTTP/1.1 200 OK\r\nConnection: Keep-Alive, Close\r\n"
+     b"Content-Length: 2\r\n\r\nok", b"ok", False),
+    (b"HTTP/1.1 200 OK\r\n\r\nup to the close", b"up to the close", False),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n"
+     b"Transfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n", b"ok",
+     False),
+], ids=["no-content", "same-lengths", "http-1.0", "connection-close",
+        "to-close", "chunked-and-length"])
+def test_framing_decides_whether_the_connection_is_pooled(transport, reply,
+                                                          body, kept):
+    with raw_server(reply) as (url, _):
+        assert transport.call("GET", url, limit=100)[1] == body
+    assert pooled(transport) == kept
+
+
+def test_replies_at_the_bounds_are_read(transport):
+    """A line of 64 KiB and 100 header fields are within the bounds."""
+    line = b"X-Long: " + b"x" * (64 * 1024 - 10) + b"\r\n"
+    assert len(line) == 64 * 1024
+    reply = (b"HTTP/1.1 200 OK\r\n" + b"X-Field: 1\r\n" * 98 + line
+             + b"Content-Length: 2\r\n\r\nok")
+    with raw_server(reply) as (url, _):
+        assert transport.call("GET", url, limit=10) == (200, b"ok")
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 " + b"x" * (64 * 1024) + b"\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * (64 * 1024) + b"\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\n" + b"X-Field: 1\r\n" * 101 + b"\r\n",
+    b"garbage\r\n\r\n",
+    b"HTTP/2 200 OK\r\n\r\n",
+    b"HTTP/1.1 2000 OK\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nok\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    + b"f" * 5000 + b"\r\nok\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\nok",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+], ids=["long-status-line", "long-field-line", "101-fields", "garbage",
+        "http-2", "four-digit-status", "field-without-colon",
+        "length-1e3", "length-negative", "length-5000-digits",
+        "two-lengths", "bad-chunk-size", "chunk-size-5000-digits",
+        "chunk-overrun", "chunk-cut-short", "head-cut-short"])
+def test_malformed_reply_is_a_transfer_error(transport, reply):
+    with raw_server(reply) as (url, _):
+        with pytest.raises(TransferError):
+            transport.call("GET", url, limit=100)
+    assert pooled(transport) == 0
+
+
+@pytest.mark.parametrize("method,target,headers", [
+    ("GET\r\nX-Injected: 1", "/", {}),
+    ("GET", "/", {"X-Name\n": "value"}),
+    ("GET", "/", {"X-Name": "split\r\nX-Injected: 1"}),
+    ("GET", "/", {"X-Name": "nul\0"}),
+    ("GET", "/a b", {}),
+    ("GET", "/a\tb", {}),
+    ("GET", "/a\x7f", {}),
+    ("GET", "/caf\xe9", {}),
+], ids=["method", "name", "value-crlf", "value-nul", "target-space",
+        "target-tab", "target-del", "target-non-ascii"])
+def test_request_that_would_change_its_framing_is_refused(method, target,
+                                                          headers):
+    with pytest.raises(ValueError):
+        transfer._request(method, target, "example.org", headers, None)
+
+
+def test_token_with_a_line_break_is_refused_before_sending(transport):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = RegistryClient(
+            "http://%s:%d/minid" % listener.getsockname(),
+            transport=transport, token="sesame\r\nX-Admin: yes")
+        with pytest.raises(TransferError) as excinfo:
+            client.mint("t", "c", ("http://example.org/x",),
+                        Checksum("sha256", "1" * 64))
+        assert "CR, LF or NUL" in str(excinfo.value)
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # not even a connection was made
+
+
+def test_request_goes_out_in_one_write(transport, monkeypatch):
+    """The request line, header fields and body leave in one write."""
+    sent = []
+    sendall = socket.socket.sendall
+
+    def recorded(sock, data, *args):
+        sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recorded)
+    with raw_server(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n") as (
+            url, answered):
+        assert transport.call("POST", url, body=b"{}", limit=10) == (200, b"")
+        assert answered.acquire(timeout=10)
+    request, reply = sent
+    assert request.startswith(b"POST /x HTTP/1.1\r\nHost: 127.0.0.1:")
+    assert request.endswith(b"\r\nContent-Length: 2\r\n\r\n{}")
+    assert reply.startswith(b"HTTP/1.1 200 OK")
+
+
+def test_host_field_brackets_an_ipv6_literal():
+    assert transfer._authority("::1", 8080) == "[::1]:8080"
+    assert transfer._authority("::1", 80, 80) == "[::1]"
+    assert transfer._authority("example.org", 443, 443) == "example.org"
+
+
+# --- HTTPS and CONNECT -------------------------------------------------------
+
+@pytest.fixture
+def tls_server():
+    """A file server speaking HTTPS with the test certificate."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(CERTIFICATE, KEY)
+    server = FileServer(tls=context)
+    yield server
+    server.close()
+
+
+def trust_test_certificate(transport: Transport) -> Transport:
+    transport._tls = ssl.create_default_context(cafile=CERTIFICATE)
+    return transport
+
+
+def test_https_connection_is_kept_alive(tls_server, transport):
+    trust_test_certificate(transport)
+    for name in ("/a", "/b"):
+        sink = io.BytesIO()
+        transport.get(tls_server.add(name, name.encode()), sink)
+        assert sink.getvalue() == name.encode()
+    assert len(tls_server.peers) == 2
+    assert len(set(tls_server.peers)) == 1
+
+
+def test_https_certificate_must_be_trusted(tls_server, transport):
+    with pytest.raises(TransferError) as excinfo:
+        transport.get(tls_server.add("/a", b"a"), io.BytesIO())
+    assert "certificate" in str(excinfo.value)
+    assert tls_server.requests == []
+
+
+class TunnelProxy:
+    """A stub proxy that answers CONNECT with a tunnel to one upstream
+    address, whatever host is asked for, or refuses it with a status;
+    it keeps the head of each request it is sent."""
+
+    def __init__(self, upstream: tuple[str, int],
+                 refuse: int | None = None) -> None:
+        self.heads: list[bytes] = []
+        self._upstream = upstream
+        self._refuse = refuse
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def url(self) -> str:
+        return "http://user:p%%40ss@%s:%d" % self._listener.getsockname()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:  # shut down
+                return
+            with client, suppress(OSError):
+                self._answer(client)
+
+    def _answer(self, client: socket.socket) -> None:
+        head = b""
+        while b"\r\n\r\n" not in head:
+            if not (chunk := client.recv(4096)):
+                return
+            head += chunk
+        self.heads.append(head)
+        if self._refuse is not None:
+            client.sendall(b"HTTP/1.1 %d Refused\r\nContent-Length: 0\r\n"
+                           b"\r\n" % self._refuse)
+            return
+        with socket.create_connection(self._upstream) as upstream, \
+                selectors.DefaultSelector() as selector:
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            selector.register(client, selectors.EVENT_READ, upstream)
+            selector.register(upstream, selectors.EVENT_READ, client)
+            while True:
+                for key, _ in selector.select():
+                    if not (data := key.fileobj.recv(65536)):
+                        return
+                    key.data.sendall(data)
+
+    def close(self) -> None:
+        with suppress(OSError):  # wakes accept()
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+@contextmanager
+def tunnelled(tls_server, monkeypatch, refuse: int | None = None):
+    """A stub proxy in front of tls_server, and a transport that reaches
+    https through it and trusts the test certificate."""
+    upstream = urlsplit(tls_server.base_url)
+    proxy = TunnelProxy((upstream.hostname, upstream.port), refuse)
+    try:
+        for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("https_proxy", proxy.url)
+        with Transport() as transport:
+            yield proxy, trust_test_certificate(transport), upstream.port
+    finally:
+        proxy.close()
+
+
+def test_https_tunnels_through_the_proxy(tls_server, monkeypatch):
+    with tunnelled(tls_server, monkeypatch) as (proxy, transport, port):
+        for name in ("/a", "/b"):
+            sink = io.BytesIO()
+            transport.get(
+                tls_server.add(name, name.encode()).replace(
+                    "127.0.0.1", "localhost"), sink)
+            assert sink.getvalue() == name.encode()
+    assert len(proxy.heads) == 1  # one tunnel carried both requests
+    credentials = base64.b64encode(b"user:p@ss")
+    assert proxy.heads[0].startswith(
+        b"CONNECT localhost:%d HTTP/1.1\r\n" % port)
+    assert b"\r\nProxy-Authorization: Basic %s\r\n" % credentials \
+        in proxy.heads[0]
+    # the credentials are the proxy's: they never reach the origin
+    assert [headers.get("Proxy-Authorization")
+            for headers in tls_server.headers_seen] == [None, None]
+
+
+def test_https_name_mismatch_is_refused(tls_server, monkeypatch):
+    """The tunnel reaches a server whose certificate does not name the
+    host asked for."""
+    with tunnelled(tls_server, monkeypatch) as (proxy, transport, port):
+        with pytest.raises(TransferError) as excinfo:
+            transport.get(f"https://wrong.invalid:{port}/a", io.BytesIO())
+    assert "certificate" in str(excinfo.value)
+    assert proxy.heads[0].startswith(b"CONNECT wrong.invalid:%d " % port)
+    assert tls_server.requests == []
+
+
+def test_https_proxy_refusal_is_a_transfer_error(tls_server, monkeypatch):
+    with tunnelled(tls_server, monkeypatch, refuse=407) as (
+            proxy, transport, port):
+        with pytest.raises(TransferError) as excinfo:
+            transport.get(f"https://localhost:{port}/a", io.BytesIO())
+    assert "407" in str(excinfo.value)
+    assert len(proxy.heads) == 1
