@@ -143,7 +143,6 @@ def walk_chain(ledger: Ledger | LedgerView, start: str) -> ChainGraph:
 
 def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
                  resolver, schemes: SchemeRegistry | None = None, *,
-                 checked: dict[str, NodeResult] | None = None,
                  looked_up: dict[str, MinidRecord] | None = None
                  ) -> ChainReport:
     """Check that every node of the chain still holds its promises.
@@ -152,10 +151,6 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
     additionally fetches each node's bytes and re-hashes them, which
     needs a scheme registry. Failures are report content, never raises:
     an unreachable location makes a node unverifiable, not an exception.
-
-    checked, when given, holds the results of nodes already checked at
-    this depth against this ledger view: a node found there is not
-    checked again, and each node checked here is added to it.
 
     looked_up, when given, holds registry records the caller has just
     resolved: a node found there is not resolved again.
@@ -166,63 +161,84 @@ def verify_chain(ledger: Ledger | LedgerView, start: str, depth: str,
         raise ValueError("full-fixity verification needs a scheme registry")
     view = ledger.load() if isinstance(ledger, Ledger) else ledger
     graph = walk_chain(view, start)
-    if checked is None:
-        checked = {}
-    if looked_up is None:
-        looked_up = {}
+    checked = _check_nodes(view, graph.nodes, depth, resolver, schemes,
+                           looked_up or {})
+    return _report(view, graph, depth, checked)
 
-    results: list[NodeResult] = []
-    for identifier in graph.nodes:
-        if identifier in checked:
-            results.append(checked[identifier])
-            continue
-        record_present = identifier in view.linkages
-        declared_root = identifier in view.roots
-        detail_parts: list[str] = []
-        resolved = False
-        status = None
+
+def _check_nodes(view: LedgerView, identifiers: tuple[str, ...],
+                 depth: str, resolver, schemes: SchemeRegistry | None,
+                 looked_up: dict[str, MinidRecord]) -> dict[str, NodeResult]:
+    """The result of checking each identifier, in two passes: the
+    first resolves every node, the second fetches and hashes each
+    active node's content.
+
+    Where the resolver and the fetchers can start requests early, the
+    registry lookups all go out before the first pass reads a reply,
+    and each active node's content GET as soon as its record is read,
+    so the registry and the file servers work at the same time. The
+    passes then make the same requests in the same order, and each
+    reads its reply.
+    """
+    prefetch = getattr(resolver, "prefetch", None)
+    if prefetch is not None:
+        prefetch([i for i in identifiers if i not in looked_up])
+    records: dict[str, MinidRecord] = {}  # nodes that resolved
+    details: dict[str, list[str]] = {}
+    for identifier in identifiers:
+        details[identifier] = parts = []
         try:
             record = (looked_up[identifier] if identifier in looked_up
                       else resolver.resolve(identifier))
-            status = record.status
-            if status == TOMBSTONED:
-                detail_parts.append("identifier is tombstoned")
+            if record.status == TOMBSTONED:
+                parts.append("identifier is tombstoned")
             else:
-                resolved = True
-                if status != ACTIVE:
-                    detail_parts.append(f"identifier is {status}")
+                records[identifier] = record
+                if record.status != ACTIVE:
+                    parts.append(f"identifier is {record.status}")
+                elif depth == FULL_FIXITY:
+                    schemes.prefetch_first(record.locations)
         except (NotFoundError, IdentifierError) as exc:
-            detail_parts.append(f"does not resolve: {exc}")
+            parts.append(f"does not resolve: {exc}")
         except (TransferError, RegistryError) as exc:
-            detail_parts.append(f"resolver unreachable: {exc}")
+            parts.append(f"resolver unreachable: {exc}")
 
+    checked: dict[str, NodeResult] = {}
+    for identifier in identifiers:
+        parts = details[identifier]
+        record = records.get(identifier)
         fixity = FIXITY_UNVERIFIABLE
         if depth == RESOLVE_ONLY:
-            detail_parts.append("fixity not checked at resolve-only depth")
-        elif resolved and status == ACTIVE:
+            parts.append("fixity not checked at resolve-only depth")
+        elif record is not None and record.status == ACTIVE:
             try:
                 resolve_to_bytes(identifier, resolver, schemes,
                                  record=record)
                 fixity = FIXITY_MATCH
             except IntegrityError as exc:
                 fixity = FIXITY_MISMATCH
-                detail_parts.append(str(exc))
+                parts.append(str(exc))
             except (TransferError, RegistryError) as exc:
-                detail_parts.append(f"content unreachable: {exc}")
-        elif resolved:
-            detail_parts.append(
-                "content not fetched: identifier is not active")
+                parts.append(f"content unreachable: {exc}")
+        elif record is not None:
+            parts.append("content not fetched: identifier is not active")
+        record_present = identifier in view.linkages
+        declared_root = identifier in view.roots
         if not (record_present or declared_root):
-            detail_parts.append("no linkage record and not a declared root")
+            parts.append("no linkage record and not a declared root")
         checked[identifier] = NodeResult(
-            identifier=identifier, resolved=resolved, fixity=fixity,
-            record_present=record_present, declared_root=declared_root,
-            detail="; ".join(detail_parts))
-        results.append(checked[identifier])
+            identifier=identifier, resolved=record is not None,
+            fixity=fixity, record_present=record_present,
+            declared_root=declared_root, detail="; ".join(parts))
+    return checked
 
+
+def _report(view: LedgerView, graph: ChainGraph, depth: str,
+            checked: dict[str, NodeResult]) -> ChainReport:
+    results = [checked[identifier] for identifier in graph.nodes]
     failing = tuple(sorted(r.identifier for r in results if r.failing))
     return ChainReport(
-        start=start, depth=depth,
+        start=graph.start, depth=depth,
         nodes=tuple(sorted(results, key=lambda r: r.identifier)),
         edges=graph.edges,
         verdict=BROKEN if failing else INTACT,
@@ -240,11 +256,7 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
     stable-sorted so two runs over the same ledger state diff cleanly.
     """
     view = ledger.load()
-    # one result per identifier for the whole sweep: a node shared by
-    # several chains is resolved, fetched and hashed once
-    checked: dict[str, NodeResult] = {}
-    chains: list[dict] = []
-    all_intact = True
+    graphs: dict[str, ChainGraph | CycleError] = {}
     reached: set[str] = set()
     for output in view.terminal_outputs() + tuple(sorted(view.linkages)):
         if output in reached:
@@ -257,22 +269,31 @@ def ci_verify(ledger: Ledger, resolver, schemes: SchemeRegistry,
                 if node in view.linkages:
                     pending.extend(view.linkages[node].inputs)
         try:
-            report = verify_chain(view, output, FULL_FIXITY, resolver,
-                                  schemes, checked=checked)
-            chains.append(report.to_json())
-            if report.verdict != INTACT:
-                all_intact = False
+            graphs[output] = walk_chain(view, output)
         except CycleError as exc:
+            graphs[output] = exc
+    # one result per identifier for the whole sweep: a node shared by
+    # several chains is resolved, fetched and hashed once, and the
+    # sweep's requests go out together
+    checked = _check_nodes(view, tuple(dict.fromkeys(
+        node for graph in graphs.values() if isinstance(graph, ChainGraph)
+        for node in graph.nodes)), FULL_FIXITY, resolver, schemes, {})
+    chains: list[dict] = []
+    for output, graph in graphs.items():
+        if isinstance(graph, CycleError):
             chains.append({
                 "start": output,
                 "depth": FULL_FIXITY,
                 "verdict": BROKEN,
-                "failing": sorted(exc.members),
+                "failing": sorted(graph.members),
                 "nodes": [],
                 "edges": [],
-                "diagnostics": [str(exc)],
+                "diagnostics": [str(graph)],
             })
-            all_intact = False
+        else:
+            chains.append(_report(view, graph, FULL_FIXITY,
+                                  checked).to_json())
+    all_intact = all(chain["verdict"] == INTACT for chain in chains)
     report_body = {
         "verdict": INTACT if all_intact else BROKEN,
         "chains": chains,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from cuflinks.errors import (CuflinksError, IdentifierError, IntegrityError,
                              NotFoundError, RegistryError, SchemeError,
@@ -97,6 +97,19 @@ class RegistryClient:
         suffix = parse_identifier(identifier)
         return self._record_or_raise(
             self._request("GET", f"{self.base_url}/{suffix}"), identifier)
+
+    def prefetch(self, identifiers: Iterable[str]) -> None:
+        """Send now, pipelined, the GETs that resolving identifiers will
+        send, so that each resolve in the same order reads its reply
+        (see Transport.prefetch). A malformed identifier is left to
+        resolve to refuse."""
+        urls = []
+        for identifier in identifiers:
+            try:
+                urls.append(f"{self.base_url}/{parse_identifier(identifier)}")
+            except IdentifierError:
+                continue
+        self._transport.prefetch(urls, headers=self._headers)
 
     def mint(self, author: str, title: str,
              locations: tuple[str, ...] | list[str],

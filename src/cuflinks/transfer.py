@@ -10,6 +10,9 @@ alive between requests (RFC 9112 §9) so that a command making many
 requests to one host opens one connection to it per concurrent request.
 The transport frames HTTP/1.1 itself (RFC 9112): each request goes out
 in one write, and each reply is parsed within http.client's bounds.
+GETs asked for ahead of time are pipelined (RFC 9112 §9.3.2): sent
+together on one connection, their replies read as the same requests
+are made.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import ssl
 import threading
 import time
 import urllib.request
+from collections import deque
 from contextlib import contextmanager
 from string import punctuation
-from typing import BinaryIO, Callable, Iterator, Mapping, Protocol
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from cuflinks.errors import SchemeError, TransferError
@@ -48,6 +52,10 @@ _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9]{2})(?: [^\r]*)?")
 # a length that fits in 63 bits, in decimal or as a chunk size in hex
 _LENGTH = re.compile(rb"[0-9]{1,18}")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
+# request bytes a pipelined connection has sent and not had answered:
+# no more than the default socket send buffer, so that sending more
+# never waits on a server blocked writing a reply not read yet
+PIPELINE_BYTES = 16 * 1024
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
@@ -233,11 +241,14 @@ class _Response:
 
 class _Connection:
     """One socket and the buffered reader over it, kept for the
-    connection's whole life."""
+    connection's whole life; queued holds the bytes of each pipelined
+    GET sent on it whose reply has not been read, oldest first, and
+    ends in an empty entry once a write on it has failed."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.reader = sock.makefile("rb")
+        self.queued: deque[bytes] = deque()
 
     def close(self) -> None:
         self.reader.close()
@@ -258,6 +269,16 @@ def _is_stale(connection: _Connection) -> bool:
         return bool(poller.poll(0))
     except OSError:
         return True
+
+
+def _drain(response: _Response) -> None:
+    """Read a short body that nobody wants, so that its connection can
+    carry the next request; a long one is left, and the connection
+    closed."""
+    try:
+        response.read(_STREAM_CHUNK)
+    except (OSError, TransferError):
+        pass
 
 
 def _read(response: _Response, amount: int, request: str) -> bytes:
@@ -287,7 +308,9 @@ class Transport:
     threads can share a transport; each connection serves one request
     at a time. A connection goes back to the pool only when its
     response was read to the end and the server keeps it open;
-    otherwise it is closed. The http_proxy, https_proxy and no_proxy
+    otherwise it is closed. prefetch() pipelines GETs on one connection
+    per origin, kept apart from the pool until each reply is read, as
+    prefetch describes. The http_proxy, https_proxy and no_proxy
     environment variables, or their upper-case names, are read once,
     when the transport is made.
     GET follows at most MAX_REDIRECTS redirects, and drops the
@@ -298,15 +321,20 @@ class Transport:
         self._proxies = {scheme: proxy for scheme in ("http", "https", "no")
                          if (proxy := _proxy_setting(scheme))}
         self._idle: dict[Origin, list[_Connection]] = {}
+        self._pipelined: dict[Origin, _Connection] = {}
         self._lock = threading.Lock()
         self._closed = False
         self._tls: ssl.SSLContext | None = None
 
     def close(self) -> None:
-        """Close every idle connection; later requests are not pooled."""
+        """Close every idle and pipelined connection; later requests are
+        not pooled."""
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, {}
+            pipelined, self._pipelined = self._pipelined, {}
+        for connection in pipelined.values():
+            connection.close()
         for connections in idle.values():
             for connection in connections:
                 connection.close()
@@ -325,6 +353,7 @@ class Transport:
         """
         with self._exchange("GET", url, None, {}) as response:
             if response.status != 200:
+                _drain(response)
                 raise TransferError(
                     f"GET {url} returned status {response.status}")
             total = 0
@@ -343,6 +372,65 @@ class Transport:
             return response.status, _read(response, limit,
                                           f"{method} {url}")
 
+    def prefetch(self, urls: Iterable[str],
+                 headers: Mapping[str, str] | None = None) -> None:
+        """Send a GET for each url now, without reading the replies.
+
+        The GETs to one origin are pipelined on one connection, in one
+        write, as long as its unanswered requests stay within
+        PIPELINE_BYTES; the rest are not sent. A later get or call whose
+        request is, byte for byte, the oldest one unanswered on that
+        connection reads its reply instead of sending anything. Any
+        other request to that origin closes the connection first, and
+        so does a reply after which the connection cannot carry more;
+        the requests still queued on it then go out again when they are
+        made, as does a url that cannot be sent here.
+        """
+        headers = {**_HEADERS, **(headers or {})}
+        batches: dict[Origin, list[bytes]] = {}
+        for url in urls:
+            try:
+                origin, target = _origin(url)
+                request, _ = self._prepare(origin, "GET", target, None,
+                                           headers, url)
+            except TransferError:
+                continue
+            batches.setdefault(origin, []).append(request)
+        for origin, requests in batches.items():
+            with self._lock:
+                connection = self._pipelined.pop(origin, None)
+            if connection is None:
+                connection = self._checkout(origin)
+            if connection is None:
+                try:
+                    connection = self._connect(
+                        origin, self._proxy(*origin[:2]))
+                except (OSError, TransferError):
+                    continue
+            if connection.queued and not connection.queued[-1]:
+                self._keep(origin, connection)  # a write on it failed
+                continue
+            room = PIPELINE_BYTES - sum(map(len, connection.queued))
+            batch = []
+            for request in requests:
+                if len(request) > room:
+                    break
+                room -= len(request)
+                batch.append(request)
+            try:
+                connection.sock.sendall(b"".join(batch))
+                connection.queued.extend(batch)
+            except OSError:
+                if not connection.queued:
+                    connection.close()
+                    continue
+                # the server may have closed it after answering what was
+                # queued before: those replies can still be read, but
+                # nothing more is sent on it, as an empty entry, which
+                # matches no request, marks
+                connection.queued.append(b"")
+            self._keep(origin, connection)
+
     @contextmanager
     def _exchange(self, method: str, url: str, body: bytes | None,
                   headers: Mapping[str, str]) -> Iterator[_Response]:
@@ -360,12 +448,7 @@ class Transport:
             if (method != "GET" or response.status not in _REDIRECTS
                     or location is None):
                 break
-            # a short redirect body is read so that the connection can
-            # be pooled; a long one is left, and the connection closed
-            try:
-                response.read(_STREAM_CHUNK)
-            except (OSError, TransferError):
-                pass
+            _drain(response)
             self._release(origin, connection, response)
             url = urljoin(url, location.decode("latin-1"))
             if _origin(url)[0] != origin:  # credentials stay with origin
@@ -378,9 +461,10 @@ class Transport:
         finally:
             self._release(origin, connection, response)
 
-    def _send(self, origin: Origin, method: str, target: str,
-              body: bytes | None, headers: dict[str, str], url: str
-              ) -> tuple[_Connection, _Response]:
+    def _prepare(self, origin: Origin, method: str, target: str,
+                 body: bytes | None, headers: dict[str, str], url: str
+                 ) -> tuple[bytes, tuple[str, int, dict[str, str]] | None]:
+        """The bytes of a request, and the proxy it goes through."""
         scheme, host, port = origin
         proxy = self._proxy(scheme, host)
         if proxy is not None and scheme == "http":
@@ -389,25 +473,42 @@ class Transport:
             target = f"http://{authority}{target}"
             headers = {**headers, **proxy[2]}
         try:
-            request = _request(
+            return _request(
                 method, target,
                 _authority(host, port, 443 if scheme == "https" else 80),
-                headers, body)
+                headers, body), proxy
         except ValueError as exc:
             raise TransferError(f"{method} {url} refused: {exc}") from None
-        connection = self._checkout(origin)
+
+    def _send(self, origin: Origin, method: str, target: str,
+              body: bytes | None, headers: dict[str, str], url: str
+              ) -> tuple[_Connection, _Response]:
+        request, proxy = self._prepare(origin, method, target, body, headers,
+                                       url)
+        with self._lock:
+            connection = self._pipelined.pop(origin, None)
+        if connection is not None and connection.queued[0] != request:
+            # its replies are for other requests: never hand one over
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = self._checkout(origin)
         reused = connection is not None
         while True:
             try:
                 if connection is None:
                     connection = self._connect(origin, proxy)
-                connection.sock.sendall(request)
+                if connection.queued:  # already sent, pipelined
+                    connection.queued.popleft()
+                else:
+                    connection.sock.sendall(request)
                 return connection, _Response(connection.reader)
             except (OSError, TransferError) as exc:
                 if connection is not None:
                     connection.close()
-                # the server may drop an idle connection just as it is
-                # reused; a GET is safe to send again on a new one
+                # the server may drop an idle or pipelined connection
+                # before it answers; a GET is safe to send again on a
+                # new one
                 if not (reused and method == "GET"):
                     raise TransferError(
                         f"{method} {url} failed: {exc}") from exc
@@ -427,9 +528,20 @@ class Transport:
     def _release(self, origin: Origin, connection: _Connection,
                  response: _Response) -> None:
         if response.done and response.keep:
-            with self._lock:
-                if not self._closed:
+            self._keep(origin, connection)
+        else:
+            connection.close()
+
+    def _keep(self, origin: Origin, connection: _Connection) -> None:
+        """Keep a connection that can carry another request: pipelined
+        while it has GETs queued, otherwise idle in the pool."""
+        with self._lock:
+            if not self._closed:
+                if not connection.queued:
                     self._idle.setdefault(origin, []).append(connection)
+                    return
+                if origin not in self._pipelined:
+                    self._pipelined[origin] = connection
                     return
         connection.close()
 
@@ -506,6 +618,11 @@ class HttpFetcher:
     def fetch(self, url: str, sink: BinaryIO) -> int:
         return self.transport.get(url, sink)
 
+    def prefetch(self, urls: Iterable[str]) -> None:
+        """Start the GETs that fetch will send for urls; see
+        Transport.prefetch."""
+        self.transport.prefetch(urls)
+
 
 class SchemeRegistry:
     """Fetchers by URL scheme."""
@@ -521,6 +638,17 @@ class SchemeRegistry:
 
     def schemes(self) -> tuple[str, ...]:
         return tuple(sorted(self._fetchers))
+
+    def prefetch_first(self, locations: Iterable[str]) -> None:
+        """Start early the fetch of the first location whose scheme has
+        a fetcher, the one that trying locations in order begins with,
+        if that fetcher can (a prefetch method)."""
+        for location in locations:
+            fetcher = self._fetchers.get(urlsplit(location).scheme.lower())
+            if fetcher is not None:
+                if hasattr(fetcher, "prefetch"):
+                    fetcher.prefetch([location])
+                return
 
     def for_url(self, url: str) -> Fetcher:
         scheme = urlsplit(url).scheme.lower()

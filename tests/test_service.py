@@ -239,6 +239,30 @@ def test_each_reply_goes_out_in_one_write(client, server, monkeypatch):
         assert b"Content-Length: %d\r\n" % len(body) in head + b"\r\n"
 
 
+def test_pipelined_requests_are_answered_in_order(client, server):
+    """GETs written together, before any reply is read, are each
+    answered, in order, on the one connection."""
+    identifiers = [mint(client) for _ in range(3)]
+    client.tombstone(identifiers[1])
+    paths = [f"/minid/{identifier[len('minid:'):]}"
+             for identifier in identifiers] + ["/minid/fPTs86M7VTyb",
+                                               "/healthz"]
+    answers = []
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"".join(b"GET %s HTTP/1.1\r\nHost: registry\r\n\r\n"
+                              % path.encode() for path in paths))
+        with sock.makefile("rb") as replies:
+            for _ in paths:
+                status = int(replies.readline().split()[1])
+                fields = dict(line.rstrip(b"\r\n").lower().split(b": ", 1)
+                              for line in iter(replies.readline, b"\r\n"))
+                body = json.loads(replies.read(
+                    int(fields[b"content-length"])))
+                answers.append((status, body.get("identifier")))
+    assert answers == [(200, identifiers[0]), (410, identifiers[1]),
+                       (200, identifiers[2]), (404, None), (200, None)]
+
+
 def test_interim_reply_is_sent_before_the_body_is_read(server):
     """A client that sends Expect: 100-continue waits for the interim
     reply before it sends the body."""

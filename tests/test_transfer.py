@@ -47,6 +47,7 @@ def test_http_fetch_404_raises(file_server, fetcher):
 
 
 def test_http_fetch_connection_refused(fetcher):
+    fetcher.prefetch(["http://127.0.0.1:9/never"])  # leaves it to fetch
     with pytest.raises(TransferError):
         fetcher.fetch("http://127.0.0.1:9/never", io.BytesIO())
 
@@ -211,33 +212,61 @@ def test_proxies_follow_urllib(environment, monkeypatch):
 
 
 @contextmanager
-def raw_server(*replies: bytes, kept: bool = False):
-    """Answers each request with the next reply, and closes each
-    connection after its reply or, when kept, one connection after them
-    all; yields the URL and a semaphore released once per reply sent,
-    when its connection has been closed."""
+def scripted_server(*connections, tls: ssl.SSLContext | None = None):
+    """Serves the given connections one after another, over TLS when
+    given a server-side context. Each is a list of (n, reply) steps:
+    read n more requests (heads without bodies), then send reply; after
+    its last step the connection is closed. Yields the server's base
+    URL, per connection the request heads it read, and a semaphore
+    released as each connection is closed."""
     listener = socket.create_server(("127.0.0.1", 0))
-    answered = threading.Semaphore(0)
+    received: list[list[bytes]] = []
+    closed = threading.Semaphore(0)
 
     def serve():
-        for batch in [replies] if kept else [[reply] for reply in replies]:
+        for steps in connections:
             connection, _ = listener.accept()
+            if tls is not None:
+                connection = tls.wrap_socket(connection, server_side=True)
+            heads: list[bytes] = []
+            received.append(heads)
+            buffered = b""
             with connection:
-                for reply in batch:
-                    connection.recv(65536)
+                for count, reply in steps:
+                    while buffered.count(b"\r\n\r\n") < count:
+                        data = connection.recv(65536)
+                        if not data:
+                            return
+                        buffered += data
+                    for _ in range(count):
+                        head, _, buffered = buffered.partition(b"\r\n\r\n")
+                        heads.append(head)
                     with suppress(ConnectionError):  # the client gave up
                         connection.sendall(reply)
-            for _ in batch:
-                answered.release()
+            closed.release()
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
     try:
-        yield "http://%s:%d/x" % listener.getsockname(), answered
+        yield ("http%s://%s:%d" % ("" if tls is None else "s",
+                                   *listener.getsockname()),
+               received, closed)
         server.join(timeout=10)
         assert not server.is_alive()
     finally:
         listener.close()
+
+
+@contextmanager
+def raw_server(*replies: bytes, kept: bool = False):
+    """Answers each request with the next reply, and closes each
+    connection after its reply or, when kept, one connection after them
+    all; yields the URL and a semaphore released as each connection is
+    closed."""
+    steps = [(1, reply) for reply in replies]
+    with scripted_server(*([steps] if kept else [[step] for step in steps])
+                         ) as (base, _, closed):
+        yield base + "/x", closed
 
 
 @pytest.mark.parametrize("method", ["POST", "GET"])
@@ -470,6 +499,172 @@ def test_host_field_brackets_an_ipv6_literal():
     assert transfer._authority("::1", 8080) == "[::1]:8080"
     assert transfer._authority("::1", 80, 80) == "[::1]"
     assert transfer._authority("example.org", 443, 443) == "example.org"
+
+
+# --- pipelined GETs ----------------------------------------------------------
+
+def ok(body: bytes, *fields: bytes) -> bytes:
+    return (b"HTTP/1.1 200 OK\r\n" + b"".join(f + b"\r\n" for f in fields)
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+def targets(heads: list[bytes]) -> list[str]:
+    return [head.split(b" ")[1].decode() for head in heads]
+
+
+@pytest.fixture
+def requests_sent(monkeypatch):
+    """Every write of GET requests a client socket makes."""
+    sent = []
+    sendall = socket.socket.sendall
+
+    def recorded(sock, data, *args):
+        if bytes(data[:4]) == b"GET ":  # not a server's reply
+            sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recorded)
+    return sent
+
+
+def test_prefetched_gets_leave_in_one_write_on_one_connection(
+        file_server, transport, requests_sent):
+    urls = [file_server.add(f"/{name}", name.encode() * 3) for name in "abc"]
+    transport.prefetch(urls)
+    assert len(requests_sent) == 1
+    assert requests_sent[0].count(b"GET /") == 3
+    sink = io.BytesIO()
+    assert transport.get(urls[0], sink) == 3
+    assert sink.getvalue() == b"aaa"
+    assert transport.call("GET", urls[1], limit=10) == (200, b"bbb")
+    assert transport.call("GET", urls[2], limit=10) == (200, b"ccc")
+    assert len(requests_sent) == 1  # each reply read, nothing sent again
+    assert file_server.requests == ["/a", "/b", "/c"]
+    assert len(set(file_server.peers)) == 1
+    assert pooled(transport) == 1  # once all are read, an idle connection
+
+
+def test_replies_the_server_never_sent_are_requested_again(transport):
+    """The server reads all four requests, answers two and closes."""
+    with scripted_server([(4, ok(b"a") + ok(b"b"))],
+                         [(1, ok(b"c")), (1, ok(b"d"))]) as (base, received,
+                                                             _):
+        urls = [f"{base}/{name}" for name in "abcd"]
+        transport.prefetch(urls)
+        assert [transport.call("GET", url, limit=10)[1] for url in urls] == [
+            b"a", b"b", b"c", b"d"]
+    assert [targets(heads) for heads in received] == [
+        ["/a", "/b", "/c", "/d"], ["/c", "/d"]]
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_replies_outlive_a_send_the_closed_connection_refused(transport,
+                                                              scheme):
+    """GETs prefetched after the server answered and closed cannot be
+    sent; the replies already received are still read, and those GETs
+    go out again on a new connection when they are made."""
+    tls = None
+    if scheme == "https":
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(CERTIFICATE, KEY)
+        trust_test_certificate(transport)
+    with scripted_server([(2, ok(b"a") + ok(b"b"))],
+                         [(1, ok(b"c")), (1, ok(b"d"))], tls=tls) as (
+                             base, received, closed):
+        urls = [f"{base}/{name}" for name in "abcd"]
+        transport.prefetch(urls[:2])
+        assert closed.acquire(timeout=10)
+        transport.prefetch(urls[2:3])  # reaches a closed socket
+        transport.prefetch(urls[3:])  # the send that fails
+        assert [transport.call("GET", url, limit=10)[1] for url in urls] == [
+            b"a", b"b", b"c", b"d"]
+    assert [targets(heads) for heads in received] == [
+        ["/a", "/b"], ["/c", "/d"]]
+
+
+@pytest.mark.parametrize("cut", ["limit", "connection-close", "to-close"])
+def test_a_reply_that_ends_the_connection_sends_the_rest_again(transport,
+                                                               cut):
+    """The second of three pipelined replies leaves its connection
+    unusable; the third request is sent again, and the reply queued on
+    the closed connection is never handed to it."""
+    second = {"limit": ok(b"b" * 50),
+              "connection-close": ok(b"b", b"Connection: close"),
+              "to-close": b"HTTP/1.1 200 OK\r\n\r\nb"}[cut]
+    with scripted_server([(3, ok(b"a") + second + ok(b"stale"))],
+                         [(1, ok(b"fresh"))]) as (base, received, _):
+        urls = [f"{base}/{name}" for name in "abc"]
+        transport.prefetch(urls)
+        assert transport.call("GET", urls[0], limit=10) == (200, b"a")
+        status, body = transport.call("GET", urls[1], limit=10)
+        assert (status, body[:1]) == (200, b"b")
+        assert transport.call("GET", urls[2], limit=10) == (200, b"fresh")
+    assert [targets(heads) for heads in received] == [
+        ["/a", "/b", "/c"], ["/c"]]
+
+
+@pytest.mark.parametrize("method,headers", [
+    ("GET", {"Authorization": "Bearer other"}),
+    ("GET", {}),
+    ("POST", {"Authorization": "Bearer sesame"}),
+], ids=["other-token", "no-token", "post"])
+def test_a_request_unlike_the_queued_one_never_gets_its_reply(
+        transport, method, headers):
+    with scripted_server([(1, ok(b"for the queued request"))],
+                         [(1, ok(b"its own"))]) as (base, received, _):
+        transport.prefetch([f"{base}/x"],
+                           headers={"Authorization": "Bearer sesame"})
+        assert transport.call(method, f"{base}/x", headers=headers,
+                              limit=100) == (200, b"its own")
+        assert transport._pipelined == {}
+    queued, own = received
+    assert b"\r\nAuthorization: Bearer sesame" in queued[0]
+    assert own[0].startswith(method.encode() + b" /x ")
+    assert (b"\r\nAuthorization: Bearer sesame" in own[0]) == (
+        method == "POST")
+
+
+def test_a_pipelined_redirect_is_followed(file_server, transport):
+    file_server.add("/final", b"arrived")
+    file_server.redirects["/moved"] = "/final"
+    transport.prefetch([file_server.url("/moved")])
+    sink = io.BytesIO()
+    assert transport.get(file_server.url("/moved"), sink) == 7
+    assert sink.getvalue() == b"arrived"
+    assert file_server.requests == ["/moved", "/final"]
+
+
+def test_requests_in_flight_stay_within_the_bound(file_server, transport,
+                                                  requests_sent):
+    """Long targets make 40 requests about twice the bound: those that
+    fit are pipelined, the rest sent when they are made."""
+    paths = [f"/{index:02d}" + "x" * 700 for index in range(40)]
+    urls = [file_server.add(path, path[1:3].encode()) for path in paths]
+    transport.prefetch(urls[:30])
+    transport.prefetch(urls[30:])  # nothing fits beside the first ones
+    (pipelined,) = requests_sent
+    fitted = pipelined.count(b"GET /")
+    assert len(pipelined) <= transfer.PIPELINE_BYTES
+    assert len(pipelined) + len(pipelined) // fitted > \
+        transfer.PIPELINE_BYTES
+    for url, path in zip(urls, paths):
+        assert transport.call("GET", url, limit=10) == (
+            200, path[1:3].encode())
+    assert len(requests_sent) == 1 + 40 - fitted
+    assert file_server.requests == paths
+    assert len(set(file_server.peers)) == 1
+
+
+def test_close_closes_pipelined_connections(file_server, transport):
+    urls = [file_server.add(f"/{name}", b"unread") for name in "ab"]
+    transport.prefetch(urls)
+    (connection,) = transport._pipelined.values()
+    transport.close()
+    assert transport._pipelined == {}
+    assert connection.sock.fileno() == -1
+    # a closed transport still answers, and keeps nothing
+    assert transport.call("GET", urls[0], limit=10) == (200, b"unread")
+    assert transport._pipelined == {} and pooled(transport) == 0
 
 
 # --- HTTPS and CONNECT -------------------------------------------------------
