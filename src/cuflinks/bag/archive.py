@@ -174,29 +174,31 @@ def _deflate(path: Path, spool_dir: Path) -> _Body:
     either deflate the rest into a spool or leave it to the writer.
 
     The member is stored when its sample (the whole file, if shorter)
-    deflates by less than a tenth, else deflated. The sample's raw
-    chunks are kept until that is known, so no byte is read twice.
+    deflates by less than a tenth, else deflated. The sample's raw and
+    deflated chunks are kept in memory until that is known, so no byte
+    is read twice and a stored member never opens a spool.
     """
-    source = open(path, "rb")
-    spool = tempfile.SpooledTemporaryFile(_SPOOL_CAP, dir=spool_dir)
+    source, spool = open(path, "rb"), None
     try:
         opened_size = os.fstat(source.fileno()).st_size
         compressor = zlib.compressobj(_LEVEL, zlib.DEFLATED, -15)
         crc = size = 0
         sample: list[bytes] = []
+        deflated: list[bytes] = []
         while size < _SAMPLE and (chunk := source.read(_CHUNK)):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
             sample.append(chunk)
-            spool.write(compressor.compress(chunk))
-        # the sample deflates to what is spooled plus what a flush
-        # would add; a copy leaves the stream open for the rest
-        deflated = spool.tell() + len(compressor.copy().flush())
-        if 10 * deflated > 9 * size:
-            spool.close()
+            deflated.append(compressor.compress(chunk))
+        # the sample deflates to what is held plus what a flush would
+        # add; a copy leaves the stream open for the rest
+        if 10 * (sum(map(len, deflated))
+                 + len(compressor.copy().flush())) > 9 * size:
             return _Body(_STORED, crc, opened_size, opened_size,
                          sample=sample, source=source)
-        del sample
+        spool = tempfile.SpooledTemporaryFile(_SPOOL_CAP, dir=spool_dir)
+        spool.writelines(deflated)
+        del sample, deflated
         while chunk := source.read(_CHUNK):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
@@ -204,7 +206,8 @@ def _deflate(path: Path, spool_dir: Path) -> _Body:
         spool.write(compressor.flush())
         source.close()
     except BaseException:
-        spool.close()
+        if spool is not None:
+            spool.close()
         source.close()
         raise
     return _Body(_DEFLATED, crc, size, spool.tell(), spool=spool)

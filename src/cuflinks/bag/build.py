@@ -8,8 +8,6 @@ same clock yield identical bags.
 from __future__ import annotations
 
 import json
-import mimetypes
-import re
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
@@ -17,7 +15,6 @@ from typing import Callable, Iterable
 from cuflinks.bag import tagfiles
 from cuflinks.bag.io import walk_files
 from cuflinks.bag.model import Bag, BagDeclaration, Entry
-from cuflinks.errors import InvariantError
 from cuflinks.hashing import check_algorithm, multi_digest_bytes, \
     multi_digest_file
 from cuflinks.version import TOOL_NAME, __version__
@@ -29,9 +26,6 @@ PROFILE_IDENTIFIER = ("https://raw.githubusercontent.com/"
 RO_MANIFEST_PATH = "metadata/manifest.json"
 RO_CONTEXT = "https://w3id.org/bundle/context"
 
-_MEDIATYPE_RE = re.compile(r"^[!#$&^_.+%'`~|\w-]+/[!#$&^_.+%'`~|\w-]+"
-                           r"(\s*;.*)?$")
-
 Clock = Callable[[], datetime]
 
 
@@ -40,23 +34,16 @@ def _default_clock() -> datetime:
 
 
 def _ro_manifest(paths: Iterable[str], created_on: str) -> bytes:
-    """The research-object resource list: each path with its media type.
+    """The research-object resource list: each path as an aggregate.
 
     Canonical JSON (sorted keys, two-space indent, UTF-8, trailing
-    newline), so equal inputs give equal bytes.
+    newline), so equal inputs give equal bytes on any host: no media
+    type is guessed, since the guess reads the host's mime.types.
     """
-    aggregates = []
-    for path in sorted(paths):
-        # the host's mime.types decides the guess, so check its shape
-        mediatype = mimetypes.guess_type(path)[0] or "application/octet-stream"
-        if not _MEDIATYPE_RE.match(mediatype):
-            raise InvariantError(
-                f"mediatype {mediatype!r} is not type/subtype")
-        aggregates.append({"uri": path, "mediatype": mediatype})
     body = {"@context": [RO_CONTEXT],
             "createdOn": created_on,
             "createdBy": {"name": f"{TOOL_NAME} {__version__}"},
-            "aggregates": aggregates,
+            "aggregates": [{"uri": path} for path in sorted(paths)],
             "annotations": []}
     text = json.dumps(body, sort_keys=True, indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")

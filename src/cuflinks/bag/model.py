@@ -15,7 +15,6 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from cuflinks.errors import InvariantError
-from cuflinks.hashing import SUPPORTED_ALGORITHMS, is_hex_digest
 
 PAYLOAD_PREFIX = "data/"
 METADATA_PREFIX = "metadata/"
@@ -192,9 +191,6 @@ class Bag:
             raise InvariantError(f"bad root name {self.root_name!r}")
         if not self.manifests:
             raise InvariantError("at least one payload manifest is required")
-        for alg in list(self.manifests) + list(self.tag_manifests):
-            if alg not in SUPPORTED_ALGORITHMS:
-                raise InvariantError(f"unsupported manifest algorithm {alg!r}")
         for path in self.payload:
             problem = payload_path_problem(path)
             if problem:
@@ -216,21 +212,11 @@ class Bag:
                 ("manifest", self.manifests, payload_path_problem),
                 ("tagmanifest", self.tag_manifests, _tag_listing_problem)):
             for alg, manifest in manifests.items():
-                for path, digest in manifest.items():
+                for path in manifest:
                     problem = path_problem(path)
                     if problem:
                         raise InvariantError(
                             f"{kind}-{alg} path {path!r}: {problem}")
-                    if not is_hex_digest(digest, alg):
-                        raise InvariantError(
-                            f"{kind}-{alg} digest for {path!r} is not a "
-                            f"{alg} hex digest")
-        seen_fetch: set[str] = set()
-        for entry in self.fetch:
-            if entry.path in seen_fetch:
-                raise InvariantError(
-                    f"more than one fetch entry for {entry.path!r}")
-            seen_fetch.add(entry.path)
         for key, _ in self.bag_info:
             if not key or key != key.strip() or ":" in key or "\n" in key:
                 raise InvariantError(f"bad bag-info label {key!r}")

@@ -1,4 +1,4 @@
-"""Crash-safe creation and replacement of whole files."""
+"""Crash-safe creation, replacement and appends of files."""
 
 from __future__ import annotations
 
@@ -31,6 +31,31 @@ def create_exclusively(path: Path):
     leaves no file at path, at most a hidden temporary file beside it.
     """
     return _staged(path, _link_new)
+
+
+def append_durably(path: Path, data: bytes) -> None:
+    """Add data at the end of path and fsync it.
+
+    A writer that finds path absent also fsyncs its directory, so the
+    new file's entry is durable too. Writers that may race to create
+    path hold a lock, so that exactly one of them finds it absent."""
+    path = Path(path)
+    created = not path.exists()
+    with open(path, "ab") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if created:
+        sync_directory(path.parent)
+
+
+def sync_directory(directory: Path) -> None:
+    """Make the entries created, renamed or linked in directory durable."""
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -67,8 +92,4 @@ def _staged(path: Path, publish):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    sync_directory(path.parent)

@@ -112,10 +112,7 @@ def walk_chain(ledger: Ledger | LedgerView, start: str) -> ChainGraph:
             if trail and trail[-1] == node:
                 trail.pop()
             continue
-        state = color.get(node, WHITE)
-        if state == BLACK:
-            continue
-        if state == GRAY:
+        if color.get(node, WHITE) != WHITE:
             continue
         color[node] = GRAY
         trail.append(node)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Callable
 
 from cuflinks.errors import (CuflinksError, IdentifierError, LedgerError,
                              NotFoundError)
-from cuflinks.fileio import locked
+from cuflinks.fileio import append_durably, locked
 from cuflinks.links.records import LinkageRecord, RootRecord
 from cuflinks.minid.model import MinidRecord
 
@@ -125,13 +124,9 @@ class Ledger:
                 raise LedgerError(f"{identifier} is already {claim}; an "
                                   f"identifier is claimed once")
             line = _canonical_line({**record.to_json(), "prev": view.tail})
-            with open(self.path, "ab") as handle:
-                # a torn last line (a crashed writer's partial record)
-                # gets its own line back, so the new record is not
-                # merged into it
-                handle.write(b"\n" * view.torn + line + b"\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            # a torn last line (a crashed writer's partial record) gets
+            # its own line back, so the new record is not merged into it
+            append_durably(self.path, b"\n" * view.torn + line + b"\n")
         added = replace(view, tail=_digest(line), torn=False)
         if linkage:
             return replace(added, linkages={**view.linkages,

@@ -13,7 +13,6 @@ spreadsheet; every change also lands in a JSON-lines changelog.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from cuflinks.errors import CycleError, FormatError
-from cuflinks.fileio import write_atomically
+from cuflinks.fileio import append_durably, write_atomically
 
 ACTIVE = "active"
 DEPRECATED = "deprecated"
@@ -222,10 +221,7 @@ def deprecate_term(dictionary: TermDictionary, term: str, superseded_by: str,
 def append_changelog(path: Path, entry: dict) -> None:
     line = json.dumps(entry, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_durably(path, (line + "\n").encode("utf-8"))
 
 
 # --- TSV storage -------------------------------------------------------

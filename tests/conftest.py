@@ -1,10 +1,12 @@
 """Shared fixtures: fixed clock, fixture trees, a local file server,
-a resolver that counts lookups."""
+a resolver that counts lookups, a counter of directory fsyncs."""
 
 from __future__ import annotations
 
 import functools
+import os
 import ssl
+import stat
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -22,6 +24,21 @@ _ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture
 def fixed_clock():
     return lambda: FIXED_INSTANT
+
+
+@pytest.fixture
+def directory_fsyncs(monkeypatch):
+    """A list that grows by one on every fsync of a directory."""
+    synced: list[int] = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
 
 
 @pytest.fixture

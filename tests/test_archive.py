@@ -267,6 +267,29 @@ def test_at_most_parallelism_spools_open(tmp_path, fixed_clock, monkeypatch):
     assert 1 <= state["peak"] <= 2
 
 
+def test_stored_member_spills_nothing(tmp_path, fixed_clock, monkeypatch):
+    """An incompressible member is stored without its deflated sample
+    ever moving to a temporary file."""
+    source = tmp_path / "noise"
+    source.mkdir()
+    (source / "noise.bin").write_bytes(random.Random(11).randbytes(MIB))
+    bag_dir = write_bag(create_bag(source, root_name="noise",
+                                   clock=fixed_clock), tmp_path / "bags")
+    rollovers = []
+    real = tempfile.SpooledTemporaryFile.rollover
+
+    def rollover(self):
+        rollovers.append(self)
+        real(self)
+
+    monkeypatch.setattr(tempfile.SpooledTemporaryFile, "rollover", rollover)
+    archive = serialize(bag_dir, tmp_path / "noise.zip")
+    with zipfile.ZipFile(archive) as handle:
+        assert handle.getinfo("noise/data/noise.bin").compress_type == \
+            zipfile.ZIP_STORED
+    assert rollovers == []
+
+
 def test_members_held_at_once_are_bounded(varied_bag, tmp_path,
                                           monkeypatch):
     """At most parallelism members wait for the writer, a stored one

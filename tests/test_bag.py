@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cuflinks.bag import create_bag, read_bag, write_bag
 from cuflinks.bag.build import RO_MANIFEST_PATH
 from cuflinks.bag.model import Bag, BagDeclaration, Entry, FetchEntry
+from cuflinks.bag.tagfiles import render_manifest
 from cuflinks.errors import FormatError, InvariantError, NotABagError
 from cuflinks.hashing import digest_bytes
 
@@ -107,15 +108,12 @@ def test_generated_tag_files_keep_their_bytes(fig3_tree, fixed_clock):
         b'  ],\n'
         b'  "aggregates": [\n'
         b'    {\n'
-        b'      "mediatype": "application/octet-stream",\n'
         b'      "uri": "data/file1"\n'
         b'    },\n'
         b'    {\n'
-        b'      "mediatype": "application/octet-stream",\n'
         b'      "uri": "data/file2"\n'
         b'    },\n'
         b'    {\n'
-        b'      "mediatype": "text/plain",\n'
         b'      "uri": "metadata/annotations.txt"\n'
         b'    }\n'
         b'  ],\n'
@@ -134,7 +132,7 @@ def test_generated_tag_files_keep_their_bytes(fig3_tree, fixed_clock):
         b"  manifest-sha256.txt\n"
         b"8baaab382767f0c361165b0cc0e74b70bd912850bb5c13f8317c43e869eee8ff"
         b"  metadata/annotations.txt\n"
-        b"41b50a3f706df56e04fb9003c613f2a11c7a37212bc22c85f7bac752561ac50d"
+        b"da6f844dc9eeb3036c738879cff4e504fc34b97b8c42b482b720fe82184e2927"
         b"  metadata/manifest.json\n")
 
 
@@ -179,6 +177,40 @@ def test_read_reports_file_and_line(fig3_tree, fixed_clock, tmp_path):
     assert excinfo.value.path == "manifest-sha256.txt"
     assert excinfo.value.line == 3
     assert "manifest-sha256.txt:3" in str(excinfo.value)
+
+
+def test_read_refuses_malformed_payload_digest(fig3_tree, fixed_clock,
+                                               tmp_path):
+    # digest shape is checked once, where the manifest is parsed
+    source, _ = fig3_tree
+    bag = create_bag(source, clock=fixed_clock, root_name="demo")
+    destination = write_bag(bag, tmp_path / "bags")
+    manifest = destination / "manifest-sha256.txt"
+    manifest.write_bytes(manifest.read_bytes() + b"xyz  data/file3\n")
+    with pytest.raises(FormatError, match="not a sha256 digest") as excinfo:
+        read_bag(destination)
+    assert (excinfo.value.path, excinfo.value.line) == \
+        ("manifest-sha256.txt", 3)
+
+
+def test_read_refuses_duplicate_fetch_target(fig3_tree, fixed_clock,
+                                             tmp_path):
+    # duplicate fetch targets are checked once, where fetch.txt is parsed
+    source, _ = fig3_tree
+    bag = create_bag(source, clock=fixed_clock, root_name="demo")
+    destination = write_bag(bag, tmp_path / "bags")
+    (destination / "fetch.txt").write_bytes(
+        b"http://example.org/a 1 data/remote\n"
+        b"http://example.org/b 1 data/remote\n")
+    with pytest.raises(FormatError, match="duplicate fetch") as excinfo:
+        read_bag(destination)
+    assert (excinfo.value.path, excinfo.value.line) == ("fetch.txt", 2)
+
+
+def test_create_refuses_malformed_digest_when_rendering():
+    # a created bag's digests are checked once, as its manifests render
+    with pytest.raises(InvariantError):
+        render_manifest({"data/x": "xyz"}, "sha256")
 
 
 def test_unknown_algorithm_manifest_is_opaque(fig3_tree, fixed_clock,

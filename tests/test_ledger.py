@@ -28,6 +28,15 @@ def test_append_after_torn_tail_keeps_the_record(tmp_path):
     assert view.diagnostics[0].startswith("line 2: unreadable")
 
 
+def test_ledger_creation_alone_syncs_the_directory(tmp_path,
+                                                   directory_fsyncs):
+    ledger = Ledger(tmp_path / "chain.jsonl")
+    declare_root(ledger, "minid:AAAAAAAAAA", actor="a")
+    assert len(directory_fsyncs) == 1
+    declare_root(ledger, "minid:BBBBBBBBBB", actor="a")
+    assert len(directory_fsyncs) == 1
+
+
 CRASH_DECLARER = """\
 import sys
 from cuflinks.links import Ledger, declare_root

@@ -1,14 +1,11 @@
 """The research-object manifest that `create_bag` generates: shape,
-canonical bytes, and the media-type check."""
+canonical bytes, and independence from the host's media-type table."""
 
 import json
 import mimetypes
 
-import pytest
-
 from cuflinks.bag import create_bag
 from cuflinks.bag.build import RO_MANIFEST_PATH
-from cuflinks.errors import InvariantError
 from cuflinks.version import TOOL_NAME, __version__
 
 
@@ -23,7 +20,7 @@ def test_manifest_envelope_shape(fig3_tree, fixed_clock):
                          "aggregates", "annotations"}
     assert body["createdBy"] == {"name": f"{TOOL_NAME} {__version__}"}
     assert body["annotations"] == []
-    assert [set(a) for a in body["aggregates"]] == [{"uri", "mediatype"}] * 3
+    assert [set(a) for a in body["aggregates"]] == [{"uri"}] * 3
 
 
 def test_canonical_bytes_are_stable(fig3_tree, fixed_clock):
@@ -33,9 +30,24 @@ def test_canonical_bytes_are_stable(fig3_tree, fixed_clock):
                      + "\n").encode("utf-8")
 
 
-def test_mediatype_shape_checked(fig3_tree, fixed_clock, monkeypatch):
-    # the guess comes from the host's mime.types, outside the program
-    monkeypatch.setattr(mimetypes, "guess_type",
-                        lambda path, strict=True: ("not a mediatype", None))
-    with pytest.raises(InvariantError, match="not a mediatype"):
-        ro_manifest(*fig3_tree, fixed_clock)
+def test_bytes_ignore_the_hosts_mediatype_table(fig3_tree, fixed_clock,
+                                                monkeypatch, tmp_path):
+    # /etc/mime.types differs between hosts; a bag must not
+    source, metadata = fig3_tree
+
+    def tag_bytes() -> dict[str, bytes]:
+        bag = create_bag(source, metadata=metadata, clock=fixed_clock)
+        return {path: entry.read_bytes()
+                for path, entry in bag.all_tag_entries().items()}
+
+    first = tag_bytes()
+    table = tmp_path / "mime.types"
+    table.write_text("application/x-elsewhere txt json\n")
+    for name in ("inited", "_db", "types_map", "common_types",
+                 "suffix_map", "encodings_map"):
+        monkeypatch.setattr(mimetypes, name, getattr(mimetypes, name))
+    monkeypatch.setattr(mimetypes, "_db", None)
+    mimetypes.init(files=[table])
+    assert mimetypes.guess_type("annotations.txt")[0] == \
+        "application/x-elsewhere"
+    assert tag_bytes() == first

@@ -177,6 +177,15 @@ def test_changelog_appends_json_lines(tmp_path):
     assert json.loads(lines[0])["op"] == "add"
 
 
+def test_changelog_creation_alone_syncs_the_directory(tmp_path,
+                                                      directory_fsyncs):
+    log = tmp_path / "changes.jsonl"
+    append_changelog(log, {"op": "add"})
+    assert len(directory_fsyncs) == 1
+    append_changelog(log, {"op": "add"})
+    assert len(directory_fsyncs) == 1
+
+
 def test_tsv_round_trip(tmp_path):
     dictionary = TermDictionary(terms={
         "done": TermRecord(canonical_id="status:done", status="deprecated",
