@@ -62,6 +62,7 @@ def create_bag(source: Path,
     Unless ``metadata`` supplies its own, a generated
     ``metadata/manifest.json`` lists every payload and metadata file. The
     clock injects all timestamps, which makes output reproducible.
+    write_bag checks the bag's invariants before it writes any byte.
     """
     algorithms = tuple(dict.fromkeys(check_algorithm(a) for a in algorithms))
     if not algorithms:
@@ -144,5 +145,4 @@ def create_bag(source: Path,
 
     bag.tag_manifests = tag_manifests
     bag.tag_files = tag_files
-    bag.check_invariants()
     return bag

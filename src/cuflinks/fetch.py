@@ -1,10 +1,11 @@
 """Holey-bag materialization: download pending entries, verify, commit.
 
 Bytes reach a payload path only after their digest matches every payload
-manifest. Downloads land in a workspace directory inside the bag root,
-get verified there, and move into place by atomic rename, so a crash at
-any point leaves no partial file at a manifest path. One exclusive lock
-file per bag keeps concurrent materializers out.
+manifest. Downloads stream into a workspace directory inside the bag
+root, hashed on their way there, and move into place by atomic rename
+once verified, so a crash at any point leaves no partial file at a
+manifest path. One exclusive lock file per bag keeps concurrent
+materializers out.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from cuflinks.bag import tagfiles
 from cuflinks.bag.io import read_bag
@@ -28,7 +30,7 @@ from cuflinks.bag.validate import (FAST, digest_mismatches,
 from cuflinks.errors import (IdentifierError, IntegrityError, LockError,
                              NotFoundError, RegistryError, TransferError,
                              ValidationError)
-from cuflinks.hashing import multi_digest_file
+from cuflinks.hashing import MultiDigester, multi_digest_file
 from cuflinks.transfer import SchemeRegistry, Sleeper, fetch_with_retries
 
 __all__ = [
@@ -38,6 +40,10 @@ __all__ = [
     "MaterializationReport",
     "Outcome",
     "materialize",
+    # nothing here reads a staged file back any more, but
+    # perfbench/spans.py wraps this name until the program emits its
+    # own spans (ROADMAP item 1)
+    "multi_digest_file",
 ]
 
 WORKSPACE_DIR = ".bdbag-tmp"
@@ -75,26 +81,55 @@ class _TooLong(Exception):
     """A transfer brought more bytes than its fetch.txt entry declares."""
 
 
-class _BoundedSink:
-    """A staging file that stops a transfer once it holds more bytes
-    than the entry declares: it keeps length + 1 and raises _TooLong."""
+class _StagingSink:
+    """A staging file that hashes the bytes it keeps as they arrive.
 
-    def __init__(self, path: Path, length: int) -> None:
+    With a declared length it stops a transfer once it holds more
+    bytes than that: it keeps length + 1 and raises _TooLong. A rewind
+    (seek(0), then truncate()) drops what it holds and starts hashing
+    afresh. On a clean exit digests holds the kept bytes' digests.
+    """
+
+    def __init__(self, path: Path, algorithms: Iterable[str],
+                 length: int | None) -> None:
         self._file = open(path, "wb")
-        self._room = length + 1
+        self._algorithms = tuple(algorithms)
+        self._digester = MultiDigester(self._algorithms)
+        self._length = length
+        self.kept = 0
+        self.digests: dict[str, str] = {}
 
     def write(self, data: bytes) -> int:
-        kept = self._file.write(data[:self._room])
-        self._room -= kept
-        if not self._room:
+        if self._length is not None:
+            data = data[:self._length + 1 - self.kept]
+        kept = self._file.write(data)
+        self._digester.update(data)
+        self.kept += kept
+        if self._length is not None and self.kept > self._length:
             raise _TooLong
         return kept
 
-    def __enter__(self) -> "_BoundedSink":
+    def seek(self, offset: int) -> int:
+        return self._file.seek(offset)
+
+    def truncate(self) -> int:
+        """Drop the bytes past the position, which a rewind has set to
+        the start, and restart the hashing there."""
+        self._digester.close()
+        self._digester = MultiDigester(self._algorithms)
+        self.kept = 0
+        return self._file.truncate()
+
+    def __enter__(self) -> "_StagingSink":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self._file.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        try:
+            if exc_type is None:
+                self.digests = self._digester.hexdigests()
+        finally:
+            self._digester.close()
+            self._file.close()
 
 
 @contextmanager
@@ -189,13 +224,20 @@ def materialize(bag_dir: Path,
 def _materialize_one(entry: FetchEntry, bag: Bag, bag_dir: Path,
                      workspace: Path, registry: SchemeRegistry,
                      *, sleep: Sleeper) -> Outcome:
+    expected = {alg: manifest[entry.path]
+                for alg, manifest in bag.manifests.items()
+                if entry.path in manifest}
+    if not expected:
+        # fast validation already rejects uncovered entries
+        return Outcome(entry.path, entry.url, DIGEST_MISMATCH,
+                       "no payload manifest covers this path")
     token = hashlib.sha256(entry.path.encode("utf-8")).hexdigest()[:16]
     staging = workspace / f"{token}.part"
+    sinks: list[_StagingSink] = []
 
-    def open_sink():
-        if entry.length is None:
-            return open(staging, "wb")
-        return _BoundedSink(staging, entry.length)
+    def open_sink() -> _StagingSink:
+        sinks.append(_StagingSink(staging, expected, entry.length))
+        return sinks[-1]
 
     try:
         fetcher = registry.for_url(entry.url)
@@ -213,23 +255,14 @@ def _materialize_one(entry: FetchEntry, bag: Bag, bag_dir: Path,
             # an identifier-backed URL failed its own checksum
             return Outcome(entry.path, entry.url, DIGEST_MISMATCH, str(exc))
 
-        if entry.length is not None:
-            actual_length = staging.stat().st_size
-            if actual_length != entry.length:
-                return Outcome(
-                    entry.path, entry.url, LENGTH_MISMATCH,
-                    f"expected {entry.length} bytes, got {actual_length}")
-
-        expected = {alg: manifest[entry.path]
-                    for alg, manifest in bag.manifests.items()
-                    if entry.path in manifest}
-        if not expected:
-            # fast validation already rejects uncovered entries
-            return Outcome(entry.path, entry.url, DIGEST_MISMATCH,
-                           "no payload manifest covers this path")
-        mismatches = digest_mismatches(
-            expected, multi_digest_file(staging, expected),
-            payload_manifest_source)
+        # the sink of the attempt that succeeded, the last one opened
+        sink = sinks[-1]
+        if entry.length is not None and sink.kept != entry.length:
+            return Outcome(
+                entry.path, entry.url, LENGTH_MISMATCH,
+                f"expected {entry.length} bytes, got {sink.kept}")
+        mismatches = digest_mismatches(expected, sink.digests,
+                                       payload_manifest_source)
         if mismatches:
             return Outcome(entry.path, entry.url, DIGEST_MISMATCH,
                            "; ".join(mismatches.values()))

@@ -17,8 +17,18 @@ def write_atomically(path: Path, data: bytes) -> None:
     or the new one, never a truncated one. The directory is fsynced
     last so that the rename itself is durable.
     """
-    with _staged(path, os.replace) as handle:
+    with replacing(path) as handle:
         handle.write(data)
+
+
+def replacing(path: Path):
+    """A binary handle whose bytes replace path's only once complete.
+
+    Used as a context manager, with write_atomically's crash story: on
+    a clean exit the fsynced temporary file beside path is renamed over
+    it; an error leaves path as it was and removes the temporary file.
+    """
+    return _staged(path, os.replace)
 
 
 def create_exclusively(path: Path):

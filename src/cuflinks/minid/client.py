@@ -8,19 +8,33 @@ errors.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import BinaryIO, Iterable, Protocol
 
 from cuflinks.errors import (CuflinksError, IdentifierError, IntegrityError,
                              NotFoundError, RegistryError, SchemeError,
                              TransferError)
-from cuflinks.fileio import write_atomically
+from cuflinks.fileio import replacing
 from cuflinks.hashing import digest_bytes, digest_file
 from cuflinks.minid.model import ACTIVE, MAX_BODY_BYTES, Checksum, \
     MinidRecord, parse_identifier, render_body
 from cuflinks.transfer import SchemeRegistry, Transport
+
+
+__all__ = [
+    "MinidFetcher",
+    "RegistryClient",
+    "Resolver",
+    "checksum_of_file",
+    "resolve_to_bytes",
+    # nothing here hashes content held whole any more, but
+    # perfbench/spans.py wraps this name until the program emits its
+    # own spans (ROADMAP item 1)
+    "digest_bytes",
+]
 
 
 class Resolver(Protocol):
@@ -158,23 +172,26 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
                      ) -> tuple[bytes | None, MinidRecord]:
     """Fetch the content behind an active identifier and verify it.
 
-    Locations are tried in order, one attempt each. A location that
-    transfers but fails the record's checksum is an integrity error and
-    stops the walk: the identifier's fixity claim is wrong somewhere,
-    and quietly serving bytes from a sibling location would hide
-    that. Any other failure to obtain a location's bytes (a failed
-    transfer, no fetcher for its scheme, an identifier named there that
-    does not resolve) falls through to the next location. When every
-    location fails, the error is a TransferError if any of them failed
-    in transfer, which a retry might get past, and a RegistryError if
-    none could even be tried, which no retry changes.
-
     Returns the content and the identifier's record. With a destination
-    the verified bytes replace the file there in one rename, and the
-    returned content is None; otherwise the bytes come back in memory.
-    A caller that has just resolved the identifier passes its record,
-    and the resolver is not asked again.
+    the content streams into a temporary file beside it, which replaces
+    the file there in one rename once it is verified, and the returned
+    content is None; otherwise the bytes come back in memory. A caller
+    that has just resolved the identifier passes its record, and the
+    resolver is not asked again. Locations are tried as _fetch_verified
+    says.
     """
+    record = _active_record(identifier, resolver, record)
+    if destination is not None:
+        with replacing(destination) as handle:
+            _fetch_verified(identifier, record, schemes, handle)
+        return None, record
+    buffer = io.BytesIO()
+    _fetch_verified(identifier, record, schemes, buffer)
+    return buffer.getvalue(), record
+
+
+def _active_record(identifier: str, resolver: Resolver,
+                   record: MinidRecord | None = None) -> MinidRecord:
     if record is None:
         record = resolver.resolve(identifier)
     if record.status != ACTIVE:
@@ -182,30 +199,72 @@ def resolve_to_bytes(identifier: str, resolver: Resolver,
             f"{identifier} is {record.status}"
             + (f" (successor {record.superseded_by})"
                if record.superseded_by else ""))
+    return record
+
+
+class _Checked:
+    """A sink that hashes with the record's algorithm what it passes on,
+    and that rewinds like the sink it wraps."""
+
+    def __init__(self, sink: BinaryIO, algorithm: str) -> None:
+        self._sink = sink
+        self._algorithm = algorithm
+        self.hasher = hashlib.new(algorithm)
+
+    def write(self, data: bytes) -> int:
+        written = self._sink.write(data)
+        self.hasher.update(data)
+        return written
+
+    def seek(self, offset: int) -> int:
+        return self._sink.seek(offset)
+
+    def truncate(self) -> int:
+        self.hasher = hashlib.new(self._algorithm)
+        return self._sink.truncate()
+
+
+def _fetch_verified(identifier: str, record: MinidRecord,
+                   schemes: SchemeRegistry, sink: BinaryIO) -> int:
+    """Stream an identifier's content into sink, hashing it on the way,
+    and return its length.
+
+    Locations are tried in order, one attempt each. A location that
+    transfers but fails the record's checksum is an integrity error and
+    stops the walk: the identifier's fixity claim is wrong somewhere,
+    and quietly serving bytes from a sibling location would hide
+    that. Any other failure to obtain a location's bytes (a failed
+    transfer, no fetcher for its scheme, an identifier named there that
+    does not resolve) falls through to the next location, once the
+    sink is rewound and truncated, so that no byte of a failed location
+    stays in it. When every location fails, the error is a
+    TransferError if any of them failed in transfer, which a retry
+    might get past, and a RegistryError if none could even be tried,
+    which no retry changes. After an integrity error the sink holds the
+    rejected bytes; the caller discards them.
+    """
     failures: list[str] = []
     error: type[CuflinksError] = RegistryError
     for location in record.locations:
-        buffer = io.BytesIO()
+        checked = _Checked(sink, record.checksum.algorithm)
         try:
-            schemes.for_url(location).fetch(location, buffer)
+            length = schemes.for_url(location).fetch(location, checked)
         except (SchemeError, TransferError, IdentifierError, NotFoundError,
                 RegistryError) as exc:
             # an identifier named as a location can fail to resolve
             failures.append(str(exc))
             if isinstance(exc, TransferError):
                 error = TransferError
+            sink.seek(0)
+            sink.truncate()
             continue
-        content = buffer.getvalue()
-        actual = digest_bytes(content, record.checksum.algorithm)
+        actual = checked.hasher.hexdigest()
         if actual != record.checksum.digest:
             raise IntegrityError(
                 f"{identifier}: content at {location} does not match the "
                 f"registered checksum",
                 expected=record.checksum.digest, actual=actual)
-        if destination is not None:
-            write_atomically(destination, content)
-            return None, record
-        return content, record
+        return length
     raise error(
         f"{identifier}: every location failed: " + " | ".join(failures))
 
@@ -219,19 +278,22 @@ def checksum_of_file(path: Path) -> Checksum:
 class MinidFetcher:
     """Transfer scheme for identifier URLs inside fetch.txt.
 
-    Resolution turns the identifier into its location list; the verified
-    bytes are then streamed into the sink. The identifier's own checksum
-    is enforced here, independently of any bag manifest the caller may
-    additionally check. The locations are fetched through schemes, which
-    should hold no ``minid`` fetcher: then a location that names an
-    identifier fails like a refused transfer instead of recursing.
+    Resolution turns the identifier into its location list; the bytes
+    are then streamed into the sink, hashed on their way. The
+    identifier's own checksum is enforced here, independently of any
+    bag manifest the caller may additionally check: on a mismatch fetch
+    raises IntegrityError, and the caller discards what the sink holds.
+    The sink must take seek(0) and truncate(), which drop the bytes of
+    a location that failed part-way. The locations are fetched through
+    schemes, which should hold no ``minid`` fetcher: then a location
+    that names an identifier fails like a refused transfer instead of
+    recursing.
     """
 
     def __init__(self, resolver: Resolver, schemes: SchemeRegistry) -> None:
         self.resolver = resolver
         self.schemes = schemes
 
-    def fetch(self, url: str, sink) -> int:
-        content, _ = resolve_to_bytes(url, self.resolver, self.schemes)
-        sink.write(content)
-        return len(content)
+    def fetch(self, url: str, sink: BinaryIO) -> int:
+        record = _active_record(url, self.resolver)
+        return _fetch_verified(url, record, self.schemes, sink)

@@ -72,11 +72,12 @@ class EventLog:
             raise
 
     def _scan(self, on_frame: FrameHook | None) -> None:
-        chunks: list[bytes] = []
+        # one read of the size fstat gives holds the log once; only a
+        # log that grew since, or a short read, costs a copy
         os.lseek(self._fd, 0, os.SEEK_SET)
-        while chunk := os.read(self._fd, 1 << 20):
-            chunks.append(chunk)
-        data = b"".join(chunks)
+        data = os.read(self._fd, os.fstat(self._fd).st_size)
+        while more := os.read(self._fd, 1 << 20):
+            data += more
         # offsets[seq - 1] is where frame seq starts; the last entry is
         # where the committed frames end
         offsets = array("q", [0])

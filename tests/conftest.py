@@ -72,8 +72,10 @@ class FileServer:
 
     Useful knobs for tests: replace content to simulate tampering, set
     fail_next to refuse a number of requests, map a path to a Location
-    in redirects, and read requests to see exactly what was asked for
-    and peers to see over which connections. Connections are kept alive.
+    in redirects, map a path to a byte count in cut_short to send only
+    that much of its body and then close the connection, and read
+    requests to see exactly what was asked for and peers to see over
+    which connections. Connections are kept alive.
     Given a server-side TLS context, it speaks HTTPS.
     """
 
@@ -84,6 +86,7 @@ class FileServer:
         self.peers: list[tuple[str, int]] = []
         self.fail_next: dict[str, int] = {}
         self.redirects: dict[str, str] = {}
+        self.cut_short: dict[str, int] = {}
         self._lock = threading.Lock()
 
         server = self
@@ -106,6 +109,7 @@ class FileServer:
                         return
                     location = server.redirects.get(self.path)
                     body = server.content.get(self.path)
+                    cut = server.cut_short.get(self.path)
                 if location is not None:
                     self.send_response(302)
                     self.send_header("Location", location)
@@ -120,6 +124,10 @@ class FileServer:
                 self.send_header("Content-Type",
                                  "application/octet-stream")
                 self.end_headers()
+                if cut is not None:
+                    self.wfile.write(body[:cut])
+                    self.close_connection = True
+                    return
                 self.wfile.write(body)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import cuflinks
 from cuflinks import cli
+from cuflinks.bag.model import Bag
 from cuflinks.cli import main
 from cuflinks.hashing import digest_file
 from cuflinks.links import Ledger
@@ -61,6 +62,20 @@ def mint(runner, store, content_file, url, title="demo"):
 def test_version(runner):
     result = invoke(runner, ["--version"])
     assert "cuflinks" in result.output
+
+
+def test_bag_create_checks_invariants_once(runner, fig3_tree, tmp_path,
+                                          monkeypatch):
+    checked = []
+    check = Bag.check_invariants
+
+    def counting_check(bag):
+        checked.append(bag.root_name)
+        check(bag)
+
+    monkeypatch.setattr(Bag, "check_invariants", counting_check)
+    make_bag(runner, fig3_tree, tmp_path)
+    assert checked == ["demo"]
 
 
 def test_bag_create_and_validate(runner, fig3_tree, tmp_path):

@@ -1,6 +1,9 @@
 """Materializing holey bags: outcomes, atomicity, locking."""
 
+import builtins
 import fcntl
+import io
+import os
 import threading
 from pathlib import Path
 
@@ -337,4 +340,58 @@ def test_identifier_with_a_failed_transfer_is_retried(
     registry.close()
     assert outcome_map(report) == {"data/file1": FETCHED}
     assert len(sleeps) == 1
+    assert (bag_dir / "data" / "file1").read_bytes() == body
+
+
+def test_staged_downloads_are_never_read_back(holey_bag, schemes,
+                                               monkeypatch):
+    """The digests come from the bytes as they arrive, not from a
+    second pass over the staging file."""
+    opened = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(os.fsdecode(file)), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_os_open(path, flags, *args, **kwargs):
+        access = flags & os.O_ACCMODE
+        opened.append((Path(os.fsdecode(path)),
+                       "r" if access == os.O_RDONLY else "w"))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(os, "open", recording_os_open)
+    report = materialize(holey_bag, registry=schemes)
+    assert report.ok
+    staged = [mode for path, mode in opened if path.suffix == ".part"]
+    assert len(staged) == 2
+    assert not any("r" in mode or "+" in mode for mode in staged)
+
+
+def test_identifier_location_cut_short_is_rewound(fixed_clock, tmp_path,
+                                                  file_server, schemes):
+    """An identifier's first location sends part of its body and drops
+    the connection; the bytes kept are exactly the second location's."""
+    source = tmp_path / "source"
+    source.mkdir()
+    body = os.urandom(200 * 1024)  # more than one of the client's reads
+    (source / "file1").write_bytes(body)
+    bag_dir = write_bag(create_bag(source, root_name="demo",
+                                   clock=fixed_clock), tmp_path / "bags")
+    cut = file_server.add("/cut", body[::-1])
+    file_server.cut_short["/cut"] = len(body) // 2
+    registry = Registry.open(tmp_path / "registry.log")
+    record = registry.mint("tester", "file one",
+                           (cut, file_server.add("/file1", body)),
+                           checksum_of_file(source / "file1"))
+    punch_holes(bag_dir, [("data/file1", record.identifier, None)])
+    schemes.register("minid", MinidFetcher(registry, schemes))
+    sleeps = []
+    report = materialize(bag_dir, registry=schemes, sleep=sleeps.append)
+    registry.close()
+    assert outcome_map(report) == {"data/file1": FETCHED}
+    assert sleeps == []
+    assert file_server.requests == ["/cut", "/file1"]
     assert (bag_dir / "data" / "file1").read_bytes() == body

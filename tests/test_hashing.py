@@ -16,9 +16,10 @@ import pytest
 
 from cuflinks import hashing, host
 from cuflinks.hashing import (DEFAULT_ALGORITHM, HEX_DIGEST_LENGTHS,
-                              SUPPORTED_ALGORITHMS, check_algorithm,
-                              digest_bytes, digest_file, is_hex_digest,
-                              multi_digest_bytes, multi_digest_file)
+                              SUPPORTED_ALGORITHMS, MultiDigester,
+                              check_algorithm, digest_bytes, digest_file,
+                              is_hex_digest, multi_digest_bytes,
+                              multi_digest_file)
 
 EMPTY = {
     "md5": "d41d8cd98f00b204e9800998ecf8427e",
@@ -174,6 +175,67 @@ def test_threads_only_for_extra_algorithms_over_chunks(
     digests = multi_digest_file(path, algorithms)
     assert digests == multi_digest_bytes(bytes(size), algorithms)
     assert len(started_threads) == threads
+
+
+@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "threaded"])
+@pytest.mark.parametrize("algorithms", [("sha256",), ("md5", "sha512"),
+                                        SUPPORTED_ALGORITHMS])
+@pytest.mark.parametrize("write", [1, 64 * 1024, CHUNK - 1, CHUNK,
+                                   3 * CHUNK + 7])
+def test_digester_matches_hashlib_for_any_write_size(
+        monkeypatch, started_threads, write, algorithms, cores):
+    """Fed in writes of one size, over more than one chunk so that the
+    extra algorithms' threads start where the process has the cores."""
+    monkeypatch.setattr(hashing, "usable_cores", lambda: cores)
+    data = random.Random(write).randbytes(write + CHUNK + 2)
+    with MultiDigester(algorithms) as digester:
+        for start in range(0, len(data), write):
+            digester.update(data[start:start + write])
+        digests = digester.hexdigests()
+    assert digests == {name: hashlib.new(name, data).hexdigest()
+                       for name in algorithms}
+    assert len(started_threads) == (len(algorithms) - 1
+                                    if cores > 1 else 0)
+
+
+def test_digester_copies_a_buffer_the_caller_reuses(monkeypatch):
+    """A chunk waiting for a thread must not change when the caller
+    refills the buffer it was written from."""
+    monkeypatch.setattr(hashing, "usable_cores", lambda: 2)
+    data = random.Random(7).randbytes(3 * CHUNK + 7)
+    buffer = bytearray(64 * 1024)
+    with MultiDigester(SUPPORTED_ALGORITHMS) as digester:
+        for start in range(0, len(data), len(buffer)):
+            piece = data[start:start + len(buffer)]
+            buffer[:len(piece)] = piece
+            digester.update(memoryview(buffer)[:len(piece)])
+        digests = digester.hexdigests()
+    assert digests == multi_digest_bytes(data, SUPPORTED_ALGORITHMS)
+
+
+def test_error_while_feeding_stops_threads(monkeypatch):
+    monkeypatch.setattr(hashing, "usable_cores", lambda: 2)
+    before = threading.active_count()
+    running = []
+    outcome = []
+
+    def call():
+        try:
+            with MultiDigester(SUPPORTED_ALGORITHMS) as digester:
+                for _ in range(3):
+                    digester.update(bytes(CHUNK))
+                running.append(threading.active_count())
+                raise OSError(errno.EIO, "injected source error")
+        except OSError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert [exc.errno for exc in outcome] == [errno.EIO]
+    assert running == [before + 1 + len(SUPPORTED_ALGORITHMS) - 1]
+    assert threading.active_count() == before
 
 
 def test_usable_cores_prefers_affinity(monkeypatch):

@@ -12,11 +12,12 @@ import pytest
 from cuflinks.errors import (CycleError, IdentifierError, IntegrityError,
                              LockError, NotFoundError, RegistryError,
                              StoreError, TransferError)
-from cuflinks.minid import (Checksum, EventLog, MinidRecord, Registry,
-                            is_valid_identifier, new_suffix,
+from cuflinks.minid import (Checksum, EventLog, MinidFetcher, MinidRecord,
+                            Registry, is_valid_identifier, new_suffix,
                             parse_identifier, render_identifier,
                             resolve_to_bytes)
 from cuflinks.minid import store
+from cuflinks.transfer import _STREAM_CHUNK
 
 from conftest import FIXED_INSTANT, CountingResolver
 
@@ -476,3 +477,49 @@ def test_download_of_mismatched_content_creates_no_file(registry,
         resolve_to_bytes(record.identifier, registry, schemes,
                          destination=target)
     assert os.listdir(target.parent) == []
+
+
+@pytest.mark.parametrize("download", [False, True],
+                         ids=["in-memory", "to-destination"])
+def test_location_cut_short_leaves_none_of_its_bytes(registry, file_server,
+                                                     tmp_path, schemes,
+                                                     download):
+    """A location that drops its connection mid-body is rewound out of
+    the result before the next location is tried."""
+    body = bytes(range(256)) * 1024
+    cut = file_server.add("/cut", b"stale bytes, not the content" * 9000)
+    file_server.cut_short["/cut"] = 3 * _STREAM_CHUNK + 5
+    record = mint(registry,
+                  locations=(cut, file_server.add("/blob", body)),
+                  checksum=Checksum("sha256",
+                                    hashlib.sha256(body).hexdigest()))
+    target = tmp_path / "out" / "blob.bin"
+    target.parent.mkdir()
+    content, _ = resolve_to_bytes(record.identifier, registry, schemes,
+                                  destination=target if download else None)
+    assert file_server.requests == ["/cut", "/blob"]
+    if download:
+        assert content is None
+        assert target.read_bytes() == body
+        assert os.listdir(target.parent) == ["blob.bin"]
+    else:
+        assert content == body
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(len(data))
+        return len(data)
+
+
+def test_fetcher_streams_content_without_holding_it(registry, file_server,
+                                                     schemes):
+    body = os.urandom(3 * 1024 * 1024 + 7)
+    record = mint_served(registry, file_server, "/big", body)
+    sink = RecordingSink()
+    length = MinidFetcher(registry, schemes).fetch(record.identifier, sink)
+    assert length == sum(sink.writes) == len(body)
+    assert max(sink.writes) <= _STREAM_CHUNK
