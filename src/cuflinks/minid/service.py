@@ -17,25 +17,33 @@ that would leave a record larger than a reply can carry is refused too
 (413 for both). The service speaks HTTP/1.1 and keeps each connection
 open for the client's next request; a connection that stays silent for
 REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
-refused unread. Each reply goes out in one write. WORKERS threads serve
-connections side by side, so resolution keeps working while a mint is
-in flight, and the registry serializes writers internally.
+refused unread, or that cannot be framed by cuflinks.framing, the codec
+the client reads replies with, or that lacks one Host field (400), or
+whose method is not served (501), and so is one after an HTTP/1.0 or
+Connection: close request. Each reply goes out in one write. WORKERS
+threads serve connections side by side, so resolution keeps working
+while a mint is in flight, and the registry serializes writers
+internally.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import select
 import socket
 import threading
 import time
 import traceback
 from contextlib import suppress
-from http.server import BaseHTTPRequestHandler
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import BinaryIO
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
                              NotFoundError, RecordTooLargeError,
-                             RegistryError)
+                             RegistryError, TransferError)
+from cuflinks.framing import TOKEN, closes, content_length, read_head
 from cuflinks.minid.model import (MAX_BODY_BYTES, TOMBSTONED, Checksum,
                                   MinidRecord, render_body,
                                   render_identifier)
@@ -50,6 +58,8 @@ WORKERS = 16
 # a new one: its client is most likely between two requests, and may
 # send the next one on it just as it closes
 IDLE_GRACE = 0.1
+_REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])"
+                           % TOKEN.pattern)
 
 # the answer to an exception a route's registry call raises: the first
 # row whose classes match it wins, so a subclass comes before the class
@@ -65,48 +75,62 @@ _ERRORS = (
 )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = USER_AGENT
-    protocol_version = "HTTP/1.1"
-    # a reply's status line, header fields and body are buffered and
-    # sent in one write when handle_one_request or finish flushes them
-    wbufsize = 64 * 1024
-    # a reply larger than the buffer goes out in more than one write;
-    # without TCP_NODELAY the last of them waits on the peer's delayed ACK
-    disable_nagle_algorithm = True
-    # per-connection socket timeout: a client that declares more body
-    # than it sends frees its thread instead of holding it
-    timeout = REQUEST_TIMEOUT
-    registry: Registry
-    token: str | None
+def _body_length(fields: dict[bytes, bytes]) -> int:
+    """The body length a request declares; a TransferError without one
+    Host field (repeats join with commas), or with a Transfer-Encoding
+    or an unusable Content-Length."""
+    host = fields.get(b"host")
+    if host is None or b"," in host or b"transfer-encoding" in fields:
+        raise TransferError("a request needs one Host field and a body "
+                            "framed by Content-Length")
+    return content_length(fields) or 0
+
+
+class _Handler:
+    """Reads the requests on one connection and answers each in turn;
+    do_<method> answers a method the service serves."""
+
+    def __init__(self, registry: Registry, token: str | None,
+                 connection: socket.socket, rfile: BinaryIO) -> None:
+        self.registry = registry
+        self.token = token
+        self.connection = connection
+        self.rfile = rfile
+        self.close_connection = False
 
     # --- plumbing -------------------------------------------------------
 
-    def handle(self) -> None:
-        # the server may close the connection between two requests
-        self.close_connection = False
-        while (not self.close_connection
-               and self.server._await_request(self)):
-            self.handle_one_request()
-
-    def log_message(self, format: str, *args) -> None:
-        pass  # outcomes go back to the client; no access log on stderr
-
-    def handle_expect_100(self) -> bool:
-        # a client that waits for the interim reply sends its body after
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
+    def handle_one_request(self) -> None:
+        """Read the next request and answer it. A request that cannot be
+        framed gets 400, and a method not served 501, and either ends
+        the connection."""
+        try:
+            request, self.fields = read_head(self.rfile, _REQUEST_LINE)
+            method, self.path = request[1].decode(), request[2].decode()
+            serve = getattr(self, f"do_{method}", None)
+            if serve is not None:  # 501 comes before any field check
+                self.length = _body_length(self.fields)
+        except TransferError as exc:
+            self._refuse_unread(400, "bad-request",
+                                f"unusable request: {exc}")
+            return
+        if serve is None:
+            self._refuse_unread(501, "not-implemented",
+                                f"method {method} is not served")
+            return
+        self.http11 = request[3] != b"0"
+        self.close_connection = not self.http11 or closes(self.fields)
+        serve()
 
     def _send(self, status: int, body: dict) -> None:
         payload = render_body(body)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Server: {USER_AGENT}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
+                f"Content-Type: application/json; charset=utf-8\r\n"
+                f"Content-Length: {len(payload)}\r\n{close}\r\n")
+        self.connection.sendall(head.encode("ascii") + payload)
 
     def _error(self, status: int, code: str, detail: str) -> None:
         self._send(status, {"error": code, "detail": detail})
@@ -124,43 +148,31 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return render_identifier(self.path[len(prefix):])
 
-    def _body_length(self) -> int | None:
-        """The declared length of the request body; None once a 400 for
-        an unusable Content-Length or a chunked body has been sent."""
-        try:
-            if "Transfer-Encoding" in self.headers:
-                raise ValueError("a body needs a Content-Length")
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0:
-                raise ValueError(f"negative Content-Length {length}")
-        except ValueError as exc:
-            self._refuse_unread(400, "bad-request",
-                                f"unusable request body: {exc}")
-            return None
-        return length
-
     def _write_body(self) -> dict | None:
         """The JSON object a write request carries.
 
         Returns None once a refusal has been sent: 401 without the
-        bearer token, 413 above MAX_BODY_BYTES, 400 for an unusable
-        Content-Length or a body that is not a JSON object.
+        bearer token, 413 above MAX_BODY_BYTES, 400 for a body that is
+        not a JSON object. A client that waits for an interim reply
+        before it sends the body gets one only once neither of the
+        first two refuses it.
         """
-        if self.token is not None and (
-                self.headers.get("Authorization") != f"Bearer {self.token}"):
+        authorization = self.fields.get(b"authorization", b"")
+        if self.token is not None and (authorization.decode("latin-1")
+                                       != f"Bearer {self.token}"):
             self._refuse_unread(401, "unauthorized",
                                 "write requires a bearer token")
             return None
-        length = self._body_length()
-        if length is None:
-            return None
-        if length > MAX_BODY_BYTES:
+        if self.length > MAX_BODY_BYTES:
             self._refuse_unread(413, "too-large",
-                                f"body of {length} bytes exceeds the "
+                                f"body of {self.length} bytes exceeds the "
                                 f"{MAX_BODY_BYTES}-byte limit")
             return None
+        if self.http11 and (self.fields.get(b"expect", b"").lower()
+                            == b"100-continue"):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
-            raw = self.rfile.read(length) if length else b""
+            raw = self.rfile.read(self.length) if self.length else b""
             # ValueError covers JSONDecodeError and UnicodeDecodeError
             body = json.loads(raw.decode("utf-8")) if raw else {}
             if not isinstance(body, dict):
@@ -204,10 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
     # --- methods ---------------------------------------------------------
 
     def do_GET(self) -> None:
-        length = self._body_length()
-        if length is None:
-            return
-        if length:
+        if self.length:
             self._refuse_unread(400, "bad-request", "a GET carries no body")
             return
         if self.path == "/healthz":
@@ -257,9 +266,8 @@ class RegistryServer:
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1",
                  port: int = 0, *, token: str | None = None) -> None:
-        self._handler = type("BoundHandler", (_Handler,), {
-            "registry": registry, "token": token})
         self.registry = registry
+        self._token = token
         self._socket = socket.create_server((host, port),
                                             backlog=socket.SOMAXCONN)
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
@@ -330,7 +338,7 @@ class RegistryServer:
     def _work(self) -> None:
         while True:
             try:
-                connection, address = self._socket.accept()
+                connection, _ = self._socket.accept()
             except OSError:
                 if self._stopping:
                     return
@@ -344,9 +352,19 @@ class RegistryServer:
                 if not self._free:
                     self._changed.notify()
             try:
-                self._handler(connection, address, self)
-            except ConnectionError:
-                pass  # the client went away
+                connection.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+                # a client that declares more than it sends frees the
+                # worker instead of holding it
+                connection.settimeout(REQUEST_TIMEOUT)
+                with connection.makefile("rb") as rfile:
+                    handler = _Handler(self.registry, self._token,
+                                       connection, rfile)
+                    while (not handler.close_connection
+                           and self._await_request(handler)):
+                        handler.handle_one_request()
+            except (ConnectionError, TimeoutError):
+                pass  # the client went away or stalled
             except Exception:  # noqa: BLE001 - the worker keeps serving
                 traceback.print_exc()
             finally:

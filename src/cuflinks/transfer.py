@@ -9,7 +9,8 @@ Every HTTP request goes through a Transport, which keeps connections
 alive between requests (RFC 9112 §9) so that a command making many
 requests to one host opens one connection to it per concurrent request.
 The transport frames HTTP/1.1 itself (RFC 9112): each request goes out
-in one write, and each reply is parsed within http.client's bounds.
+in one write, and each reply head is read with cuflinks.framing, the
+codec the registry reads its requests with.
 GETs asked for ahead of time are pipelined (RFC 9112 §9.3.2): sent
 together on one connection, their replies read as the same requests
 are made.
@@ -33,6 +34,8 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from cuflinks.errors import SchemeError, TransferError
+from cuflinks.framing import (closes, content_length, read_fields,
+                              read_head, read_line)
 from cuflinks.version import USER_AGENT
 
 DEFAULT_TIMEOUT = 60.0
@@ -41,16 +44,12 @@ _STREAM_CHUNK = 64 * 1024
 _REDIRECTS = (301, 302, 303, 307, 308)
 # the bytes hashed must be the bytes served, so no content coding
 _HEADERS = {"User-Agent": USER_AGENT, "Accept-Encoding": "identity"}
-# http.client's bounds on a reply's lines and header fields
-_MAX_LINE = 64 * 1024
-_MAX_FIELDS = 100
 # each would end a request line or header field early
 _UNSAFE_FIELD = re.compile(r"[\r\n\0]")
 # a request target is visible ASCII: no whitespace, controls or others
 _UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
 _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9]{2})(?: [^\r]*)?")
-# a length that fits in 63 bits, in decimal or as a chunk size in hex
-_LENGTH = re.compile(rb"[0-9]{1,18}")
+# a chunk size that fits in 63 bits
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
 # request bytes a pipelined connection has sent and not had answered:
 # no more than the default socket send buffer, so that sending more
@@ -111,43 +110,11 @@ def _request(method: str, target: str, host: str,
     return head.encode("latin-1") + (body or b"")
 
 
-def _line(reader: BinaryIO) -> bytes:
-    """One line of a reply, without its line end."""
-    line = reader.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE:
-        raise TransferError(f"reply line longer than {_MAX_LINE} bytes")
-    if not line.endswith(b"\n"):
-        raise TransferError("the server closed the connection before "
-                            "the reply ended")
-    return line.rstrip(b"\r\n")
-
-
-def _fields(reader: BinaryIO) -> dict[bytes, bytes]:
-    """Header or trailer fields up to the empty line, by lower-case
-    name; a repeated name's values are joined with commas."""
-    fields: dict[bytes, bytes] = {}
-    for _ in range(_MAX_FIELDS + 1):
-        line = _line(reader)
-        if not line:
-            return fields
-        name, colon, value = line.partition(b":")
-        if not colon or not name:
-            raise TransferError(f"malformed header field {line[:80]!r}")
-        name, value = name.lower(), value.strip(b" \t")
-        fields[name] = (fields[name] + b", " + value if name in fields
-                        else value)
-    raise TransferError(f"more than {_MAX_FIELDS} header fields")
-
-
 def _head(reader: BinaryIO) -> tuple[bool, int, dict[bytes, bytes]]:
     """Whether a reply is HTTP/1.1 or later, its status and its header
     fields; 1xx interim replies before it are skipped."""
     while True:
-        line = _line(reader)
-        status = _STATUS_LINE.fullmatch(line)
-        if status is None:
-            raise TransferError(f"malformed status line {line[:80]!r}")
-        fields = _fields(reader)
+        status, fields = read_head(reader, _STATUS_LINE)
         if not status[2].startswith(b"1"):
             return status[1] != b"0", int(status[2]), fields
 
@@ -162,17 +129,13 @@ class _Response:
 
     def __init__(self, reader: BinaryIO) -> None:
         self._reader = reader
-        self.keep, self.status, self.fields = _head(reader)
-        connection = self.fields.get(b"connection")
-        if connection is not None and b"close" in (
-                token.strip() for token in connection.lower().split(b",")):
-            self.keep = False
+        keep, self.status, self.fields = _head(reader)
+        self.keep = keep and not closes(self.fields)
         self.done = False
         self._chunked = False
         # bytes of the body, or of the current chunk, not yet read;
         # None for a body that ends when the connection closes
         self._left: int | None = 0
-        length = self.fields.get(b"content-length")
         coding = self.fields.get(b"transfer-encoding")
         if self.status in (204, 304):
             self.done = True
@@ -183,15 +146,11 @@ class _Response:
                 self._left = None
             # a body read to the close, or one that states both framings
             # (the peer may mean either): nothing more follows on it
-            if not self._chunked or length is not None:
+            if not self._chunked or b"content-length" in self.fields:
                 self.keep = False
-        elif length is not None:
-            values = {value.strip() for value in length.split(b",")}
-            if len(values) != 1 or not _LENGTH.fullmatch(
-                    value := values.pop()):
-                raise TransferError(f"bad Content-Length {length[:80]!r}")
-            self._left = int(value)
-            self.done = not self._left
+        elif (length := content_length(self.fields)) is not None:
+            self._left = length
+            self.done = not length
         else:
             self._left = None
             self.keep = False
@@ -220,12 +179,12 @@ class _Response:
         parts = []
         while amount:
             if not self._left:
-                size = _line(self._reader).partition(b";")[0].strip(b" \t")
+                size = read_line(self._reader).partition(b";")[0].strip(b" \t")
                 if not _CHUNK_SIZE.fullmatch(size):
                     raise TransferError(f"bad chunk size {size[:80]!r}")
                 self._left = int(size, 16)
                 if not self._left:  # the last chunk; trailer fields follow
-                    _fields(self._reader)
+                    read_fields(self._reader)
                     self.done = True
                     break
             data = self._reader.read(min(amount, self._left))
@@ -234,7 +193,7 @@ class _Response:
             parts.append(data)
             amount -= len(data)
             self._left -= len(data)
-            if not self._left and _line(self._reader):
+            if not self._left and read_line(self._reader):
                 raise TransferError("chunk longer than its size")
         return b"".join(parts)
 

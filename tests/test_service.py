@@ -212,17 +212,18 @@ def test_refused_body_is_never_read_as_a_request(tmp_path, head, body,
 
 def test_each_reply_goes_out_in_one_write(client, server, monkeypatch):
     """Status line, header fields and body leave in one write: a record,
-    a route's error, a refusal that ends the connection, and the
-    standard library's own error page."""
+    a route's error, a refusal that ends the connection, and a method
+    the service does not serve."""
     identifier = mint(client)
     writes = []
-    write = socket.SocketIO.write
+    sendall = socket.socket.sendall
 
-    def recorded(self, data):
-        writes.append(bytes(data))
-        return write(self, data)
+    def recorded(self, data, *args):
+        if bytes(data).startswith(b"HTTP/"):  # a reply, not a request
+            writes.append(bytes(data))
+        return sendall(self, data, *args)
 
-    monkeypatch.setattr(socket.SocketIO, "write", recorded)
+    monkeypatch.setattr(socket.socket, "sendall", recorded)
     assert client.resolve(identifier).identifier == identifier
     with pytest.raises(NotFoundError):
         client.resolve("minid:fPTs86M7VTyb")
@@ -274,6 +275,25 @@ def test_interim_reply_is_sent_before_the_body_is_read(server):
         assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
         sock.sendall(body)
         assert sock.recv(4096).startswith(b"HTTP/1.1 201 ")
+
+
+@pytest.mark.parametrize("fields,status", [
+    pytest.param(b"Content-Length: 2", 401, id="unauthorized-401"),
+    pytest.param(b"Authorization: Bearer sesame\r\nContent-Length: %d"
+                 % (MAX_BODY_BYTES + 1), 413, id="too-large-413")])
+def test_refused_request_gets_no_interim_reply(tmp_path, fields, status):
+    """A request refused before its body is read gets its final status
+    only: the client is never invited to send a body left unread."""
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry, token="sesame") as server, \
+            socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /minid HTTP/1.1\r\nHost: registry\r\n"
+                     b"Expect: 100-continue\r\n%s\r\n\r\n" % fields)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
+    assert reply.count(b"HTTP/1.1") == 1
 
 
 def test_every_record_fits_the_client_reply_cap(tmp_path, transport):

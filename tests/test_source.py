@@ -91,9 +91,11 @@ def test_no_third_party_imports_but_click():
 
 def test_importing_the_cli_loads_no_http_library():
     """HTTP goes through the package's own HTTP/1.1 codec in
-    cuflinks.transfer; no third-party HTTP library is loaded."""
+    cuflinks.framing at both ends: no third-party HTTP library is
+    loaded, and neither is the standard library's server."""
     code = ("import sys, cuflinks.cli; "
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+            "print(sorted({'requests', 'urllib3', 'http.server', "
+            "'socketserver'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,
                             env={**os.environ,
