@@ -20,10 +20,13 @@ REQUEST_TIMEOUT seconds is dropped, and so is one whose request body was
 refused unread, or that cannot be framed by cuflinks.framing, the codec
 the client reads replies with, or that lacks one Host field (400), or
 whose method is not served (501), and so is one after an HTTP/1.0 or
-Connection: close request. Each reply goes out in one write. WORKERS
-threads serve connections side by side, so resolution keeps working
-while a mint is in flight, and the registry serializes writers
-internally.
+Connection: close request. Such a close lingers (RFC 9112 §9.6): what
+the client still sends is read and dropped until it closes, or for
+REQUEST_TIMEOUT at most, since unread bytes would turn the close into
+a reset, which can destroy the reply. Each reply goes out in one write.
+WORKERS threads answer requests side by side, so resolution keeps
+working while a mint is in flight, and the registry serializes writers
+internally; a connection between two requests holds no thread.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ import re
 import select
 import socket
 import threading
-import time
 import traceback
 from contextlib import suppress
 from email.utils import formatdate
+from errno import EMFILE, ENFILE
 from http import HTTPStatus
+from time import monotonic
 from typing import BinaryIO
 
 from cuflinks.errors import (CuflinksError, CycleError, IdentifierError,
@@ -51,13 +55,9 @@ from cuflinks.minid.registry import Registry
 from cuflinks.version import USER_AGENT
 
 REQUEST_TIMEOUT = 30.0
-# threads that accept and serve connections, each one connection at a
-# time; they are started with the server and are all it ever runs
+# threads that accept connections and answer requests, each one request
+# at a time; they are started with the server and are all it ever runs
 WORKERS = 16
-# a connection idle for less than this is not closed to make room for
-# a new one: its client is most likely between two requests, and may
-# send the next one on it just as it closes
-IDLE_GRACE = 0.1
 _REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])"
                            % TOKEN.pattern)
 
@@ -256,28 +256,34 @@ class _Handler:
 class RegistryServer:
     """A registry bound to a listening socket.
 
-    WORKERS threads accept connections and serve each one until it
-    closes. When a connection is pending and every worker holds one, the
-    connection idle the longest (at least IDLE_GRACE seconds) is closed
-    between two requests, never during one. serve_forever() runs the
-    workers and watches them from the calling thread; start() and stop()
-    (``with``) run it on a daemon thread; never both.
+    WORKERS threads take turns (Leader/Followers) waiting on one epoll
+    set of the listening socket and the connections between requests,
+    each armed for one wake-up. serve_forever() runs the workers and
+    closes the connections silent for REQUEST_TIMEOUT; start() and stop()
+    (``with``) run it on a daemon thread; never both. Linux only (epoll).
     """
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1",
                  port: int = 0, *, token: str | None = None) -> None:
         self.registry = registry
         self._token = token
+        self._epoll = select.epoll()
         self._socket = socket.create_server((host, port),
                                             backlog=socket.SOMAXCONN)
+        # accept() returns at once if the pending client has gone, and
+        # what it returns has Nagle's algorithm off (Linux)
+        self._socket.setblocking(False)
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._epoll.register(self._socket,
+                             select.EPOLLIN | select.EPOLLONESHOT)
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
         self._thread: threading.Thread | None = None
-        self._changed = threading.Condition()
-        self._stopping = False
-        self._free = 0  # workers holding no connection
-        self._held: set[socket.socket] = set()
-        # held connections awaiting a request, with the time since when
-        self._idle: dict[socket.socket, float] = {}
+        self._lock = threading.Lock()
+        self._stopped = threading.Event()
+        # every open connection; only the worker it wakes closes it
+        self._handlers: dict[int, _Handler] = {}
+        # when each connection in the epoll set closes, soonest first
+        self._deadlines: dict[int, float] = {}
 
     @property
     def base_url(self) -> str:
@@ -286,21 +292,31 @@ class RegistryServer:
         return f"http://{host}:{port}/minid"
 
     def serve_forever(self) -> None:
-        """Serve on the workers until stopped; the socket is closed and
-        every worker has ended on return."""
-        self._free = WORKERS
+        """Serve on the workers until stopped; the socket and every
+        connection are closed and every worker has ended on return."""
         workers = [threading.Thread(target=self._work, daemon=True,
                                     name="cuflinks-registry-worker")
                    for _ in range(WORKERS)]
         try:
             for worker in workers:
                 worker.start()
-            self._evict_while_full()
+            while not self._stopped.wait(self._sweep()):
+                pass
         finally:
-            self._halt()
+            # a request already read is answered; every later read sees
+            # end of input, and the listener wakes each worker in turn
+            self._stopped.set()
+            for handler in list(self._handlers.values()):
+                with suppress(OSError):
+                    handler.connection.shutdown(socket.SHUT_RD)
+            with suppress(OSError):
+                self._socket.shutdown(socket.SHUT_RDWR)
             for worker in workers:
                 if worker.is_alive():
                     worker.join()
+            for handler in list(self._handlers.values()):
+                self._close(handler.connection)
+            self._epoll.close()
             self._socket.close()
 
     def start(self) -> "RegistryServer":
@@ -312,7 +328,7 @@ class RegistryServer:
 
     def stop(self) -> None:
         """End the loop start() began; the socket is closed on return."""
-        self._halt()
+        self._stopped.set()
         self._thread.join()
 
     def __enter__(self) -> "RegistryServer":
@@ -323,112 +339,104 @@ class RegistryServer:
 
     # --- workers ---------------------------------------------------------
 
-    def _halt(self) -> None:
-        """Wake every worker and the watcher to end. A request already
-        read is answered; every later read sees end of input."""
-        with self._changed:
-            self._stopping = True
-            self._changed.notify_all()
-            for connection in self._held:
-                with suppress(OSError):
-                    connection.shutdown(socket.SHUT_RD)
-        with suppress(OSError):  # wakes accept() and poll() on it
-            self._socket.shutdown(socket.SHUT_RDWR)
-
     def _work(self) -> None:
-        while True:
-            try:
-                connection, _ = self._socket.accept()
-            except OSError:
-                if self._stopping:
-                    return
-                continue  # e.g. the client gave up while it was pending
-            with self._changed:
-                if self._stopping:
-                    connection.close()
-                    return
-                self._free -= 1
-                self._held.add(connection)
-                if not self._free:
-                    self._changed.notify()
-            try:
-                connection.setsockopt(socket.IPPROTO_TCP,
-                                      socket.TCP_NODELAY, 1)
-                # a client that declares more than it sends frees the
-                # worker instead of holding it
-                connection.settimeout(REQUEST_TIMEOUT)
-                with connection.makefile("rb") as rfile:
-                    handler = _Handler(self.registry, self._token,
-                                       connection, rfile)
-                    while (not handler.close_connection
-                           and self._await_request(handler)):
-                        handler.handle_one_request()
-            except (ConnectionError, TimeoutError):
-                pass  # the client went away or stalled
-            except Exception:  # noqa: BLE001 - the worker keeps serving
-                traceback.print_exc()
-            finally:
-                with self._changed:
-                    self._held.discard(connection)
-                    self._idle.pop(connection, None)
-                    if not self._free:
-                        self._changed.notify()
-                    self._free += 1
-                connection.close()
+        while not self._stopped.is_set():
+            for ready, _ in self._epoll.poll(-1, 1):
+                if ready == self._socket.fileno():
+                    self._accept()
+                else:
+                    self._serve(self._handlers[ready])
 
-    def _await_request(self, handler: _Handler) -> bool:
-        """Wait until the next request on handler's connection begins.
+    def _arm(self, sock: socket.socket) -> None:
+        """Have the epoll set wake one worker once sock is readable."""
+        self._epoll.modify(sock, select.EPOLLIN | select.EPOLLONESHOT)
 
-        False when the connection is to close instead: the client
-        closed it or stayed silent for REQUEST_TIMEOUT, the server is
-        stopping, or the watcher evicted it to make room.
-        """
-        connection = handler.connection
-        with self._changed:
-            if self._stopping:
-                return False
-            self._idle[connection] = time.monotonic()
-            if not self._free:
-                self._changed.notify()
+    def _accept(self) -> None:
+        """Accept a connection into the epoll set."""
         try:
-            # returns at once when a pipelined request is buffered
-            waiting = handler.rfile.peek(1)
-        except OSError:  # TimeoutError, or the client reset it
-            waiting = b""
-        with self._changed:
-            self._idle.pop(connection, None)
-        return bool(waiting)
-
-    def _evict_while_full(self) -> None:
-        """Until stopped: whenever a connection is pending and every
-        worker holds one, close the connection idle the longest once it
-        has been idle for IDLE_GRACE seconds."""
-        pending = select.poll()
-        pending.register(self._socket, select.POLLIN)
-        while True:
-            with self._changed:
-                self._changed.wait_for(
-                    lambda: self._stopping or not self._free)
-                if self._stopping:
+            sock, _ = self._socket.accept()
+        except OSError as exc:
+            with self._lock:
+                if exc.errno in (EMFILE, ENFILE) and self._deadlines:
+                    # out of descriptors: end the connection silent the
+                    # longest, whose close re-arms the listener
+                    self._end(next(iter(self._deadlines)))
                     return
-            pending.poll()  # a stop shuts the socket down, which wakes it
-            with self._changed:
-                if self._stopping or self._free or not pending.poll(0):
-                    continue
-                victim = min(self._idle, key=self._idle.__getitem__,
-                             default=None)
-                wait = (None if victim is None else
-                        self._idle[victim] + IDLE_GRACE - time.monotonic())
-                if wait is None or wait > 0:
-                    # until a connection turns idle, one has been idle
-                    # long enough, or a worker frees up
-                    self._changed.wait(wait)
-                    continue
-                # its worker sees end of input and closes it, unless a
-                # request has just begun, which it answers first
-                del self._idle[victim]
-                with suppress(OSError):
-                    victim.shutdown(socket.SHUT_RD)
-                self._changed.wait_for(
-                    lambda: self._stopping or victim not in self._held,
-                    IDLE_GRACE)
+            self._arm(self._socket)  # e.g. the client gave up: try again
+            return
+        self._arm(self._socket)
+        try:
+            handler = _Handler(self.registry, self._token, sock,
+                               sock.makefile("rb"))
+            with self._lock:
+                self._handlers[sock.fileno()] = handler
+                self._deadlines[sock.fileno()] = monotonic() + REQUEST_TIMEOUT
+            self._epoll.register(sock, select.EPOLLIN | select.EPOLLONESHOT)
+        except Exception:  # noqa: BLE001 - the worker keeps serving
+            traceback.print_exc()  # e.g. the kernel is out of memory
+            self._close(sock)
+
+    def _serve(self, handler: _Handler) -> None:
+        """Answer the requests waiting on handler's connection, which the
+        epoll set found readable, and return it to the set."""
+        connection, rfile = handler.connection, handler.rfile
+        with self._lock:  # renewed by a request, not by a lingering close
+            if not handler.close_connection:
+                self._deadlines.pop(connection.fileno(), None)
+        try:
+            connection.settimeout(0)  # so that a peek returns at once
+            # nothing to read at first is end of input, or a stop's
+            while not self._stopped.is_set() and rfile.peek(1):
+                if handler.close_connection:  # the lingering close below
+                    rfile.read1()  # a bufferful a turn, however fast it comes
+                else:
+                    # a client that declares more than it sends frees the
+                    # worker instead of holding it
+                    connection.settimeout(REQUEST_TIMEOUT)
+                    handler.handle_one_request()
+                    connection.settimeout(0)
+                if handler.close_connection:
+                    # a lingering close (RFC 9112 §9.6): what the client
+                    # still sends is discarded until it closes, since bytes
+                    # unread at close() would reset the connection, and the
+                    # reset can destroy the reply before the client reads it
+                    connection.shutdown(socket.SHUT_WR)
+                elif rfile.peek(1):
+                    continue  # a pipelined request
+                with self._lock:
+                    self._deadlines.setdefault(connection.fileno(),
+                                               monotonic() + REQUEST_TIMEOUT)
+                self._arm(connection)
+                return
+        except OSError:
+            pass  # the client went away or stalled
+        except Exception:  # noqa: BLE001 - the worker keeps serving
+            traceback.print_exc()
+        self._close(connection)
+
+    def _close(self, connection: socket.socket) -> None:
+        with self._lock:
+            handler = self._handlers.pop(connection.fileno(), None)
+            self._deadlines.pop(connection.fileno(), None)
+        if handler is not None:
+            handler.rfile.close()
+        connection.close()
+        self._arm(self._socket)  # accept() may wait for a descriptor
+
+    def _sweep(self) -> float:
+        """End the connections past their deadline; seconds to the next."""
+        now = monotonic()
+        with self._lock:
+            while self._deadlines:
+                descriptor, deadline = next(iter(self._deadlines.items()))
+                if deadline > now:
+                    return deadline - now
+                self._end(descriptor)
+        return REQUEST_TIMEOUT
+
+    def _end(self, descriptor: int) -> None:
+        """With the lock held, shut a connection; the worker it wakes
+        reads end of input and closes it."""
+        del self._deadlines[descriptor]
+        with suppress(OSError):
+            self._handlers[descriptor].connection.shutdown(socket.SHUT_RDWR)

@@ -1,14 +1,18 @@
 """End-to-end command line behavior, including exit codes."""
 
+import http.client
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from click.testing import CliRunner
@@ -274,16 +278,18 @@ def test_resolve_download_looks_up_once(runner, tmp_path, file_server,
 
 def test_registry_serve_runs_one_accept_loop(runner, tmp_path,
                                              monkeypatch):
+    """The thread that runs serve_forever() loops on closing silent
+    connections, and only that thread; the workers accept."""
     loops = []
-    watch = RegistryServer._evict_while_full
+    sweep = RegistryServer._sweep
 
     def recording(server):
         loops.append((server, threading.current_thread()))
         if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
-        watch(server)
+        return sweep(server)
 
-    monkeypatch.setattr(RegistryServer, "_evict_while_full", recording)
+    monkeypatch.setattr(RegistryServer, "_sweep", recording)
     threads = threading.active_count()
     invoke(runner, ["registry", "serve", "--store",
                     str(tmp_path / "registry.log"), "--port", "0"])
@@ -292,36 +298,101 @@ def test_registry_serve_runs_one_accept_loop(runner, tmp_path,
     assert threading.active_count() == threads  # and every worker ended
 
 
-def test_registry_serve_stops_at_once_on_sigint(tmp_path):
+@contextmanager
+def serving(tmp_path, **popen):
+    """A `registry serve` child process, and the base URL it serves."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(cuflinks.__file__).parents[1])}
     child = subprocess.Popen(
         [sys.executable, "-m", "cuflinks.cli", "registry", "serve",
          "--store", str(tmp_path / "registry.log"), "--port", "0"],
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, env=env)
+        stderr=subprocess.PIPE, text=True, env=env, **popen)
     watchdog = threading.Timer(60, child.kill)
     watchdog.start()
     try:
-        base_url = re.search(r"serving (\S+)",
-                             child.stderr.readline()).group(1)
-        with Transport() as transport:
-            client = RegistryClient(base_url, transport=transport)
-            for _ in range(3):
-                record = client.mint("tester", "content",
-                                     ("http://127.0.0.1:1/x",),
-                                     Checksum("sha256", "0" * 64))
-                assert client.resolve(record.identifier) == record
-            # the client's kept-alive connection is open and idle here
-            child.send_signal(signal.SIGINT)
-            started = time.monotonic()
-            assert child.wait(timeout=2) == 0
-            assert time.monotonic() - started < 2
+        yield child, re.search(r"serving (\S+)",
+                               child.stderr.readline()).group(1)
     finally:
         watchdog.cancel()
         child.kill()
         child.wait()
         child.stderr.close()
+
+
+def test_registry_serve_stops_at_once_on_sigint(tmp_path):
+    with serving(tmp_path) as (child, base_url), Transport() as transport:
+        client = RegistryClient(base_url, transport=transport)
+        for _ in range(3):
+            record = client.mint("tester", "content",
+                                 ("http://127.0.0.1:1/x",),
+                                 Checksum("sha256", "0" * 64))
+            assert client.resolve(record.identifier) == record
+        # the client's kept-alive connection is open and idle here
+        child.send_signal(signal.SIGINT)
+        started = time.monotonic()
+        assert child.wait(timeout=2) == 0
+        assert time.monotonic() - started < 2
+
+
+def cpu_ticks(pid: int) -> int:
+    """User and system clock ticks the process has used."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    return int(fields[11]) + int(fields[12])  # utime, stime
+
+
+def test_registry_serve_out_of_descriptors_still_answers(tmp_path):
+    """With more kept-alive connections than descriptors, the server
+    closes the one idle the longest to accept a new client; idle, it
+    uses no processor time."""
+    def few_descriptors():
+        resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64))
+
+    with serving(tmp_path, preexec_fn=few_descriptors) as (child, base_url):
+        address = urlsplit(base_url)
+        held = []
+        try:
+            for _ in range(100):
+                connection = http.client.HTTPConnection(
+                    address.hostname, address.port, timeout=10)
+                held.append(connection)
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            with Transport() as transport:
+                assert RegistryClient(base_url,
+                                      transport=transport).healthy()
+            before = cpu_ticks(child.pid)
+            time.sleep(2)
+            assert cpu_ticks(child.pid) == before
+        finally:
+            for connection in held:
+                connection.close()
+
+
+def test_client_commands_need_no_epoll(runner, tmp_path):
+    """Only serving needs select.epoll: without it the package imports
+    and a client command runs."""
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(b"registered content\n")
+    store = tmp_path / "registry.log"
+    identifier = mint(runner, store, blob, "https://example.org/blob")
+    code = ("import select, sys\n"
+            "for name in dir(select):\n"
+            "    if name == 'epoll' or name.startswith('EPOLL'):\n"
+            "        delattr(select, name)\n"
+            "from cuflinks.cli import main\n"
+            "main(sys.argv[1:])\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, "minid", "resolve", identifier,
+         "--store", str(store), "--json"],
+        capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(cuflinks.__file__).parents[1])})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["identifier"] == identifier
 
 
 def test_link_workflow(runner, tmp_path, file_server):

@@ -48,11 +48,8 @@ def exchange(address, request: bytes) -> bytes:
     reply = b""
     with socket.create_connection(address, timeout=5) as sock:
         sock.sendall(request)
-        try:
-            while chunk := sock.recv(4096):
-                reply += chunk
-        except ConnectionResetError:
-            pass  # closed with request bytes unread
+        while chunk := sock.recv(4096):
+            reply += chunk
     return reply
 
 
@@ -72,6 +69,21 @@ def test_registry_refuses_the_request_and_closes(tmp_path, fields):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert reply.count(b"HTTP/1.1") == 1
     assert b"\r\nConnection: close\r\n" in reply
+
+
+def test_refused_request_ends_without_a_reset(tmp_path):
+    """A refusal that leaves request bytes unread closes the connection
+    lingeringly (RFC 9112 §9.6): the server reads and discards what the
+    client still sends, so the client reads the 400 and then end of
+    input, not a reset."""
+    request = (b"POST /minid HTTP/1.1\r\nHost: registry\r\nX-Long: "
+               + b"x" * 200_000 + b"\r\n\r\n")
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry) as server:
+        for _ in range(5):
+            reply = exchange(server.address, request)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert reply.count(b"HTTP/1.1") == 1
 
 
 @pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED.keys())

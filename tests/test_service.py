@@ -11,6 +11,7 @@ import threading
 import time
 import urllib.request
 import zlib
+from contextlib import suppress
 
 import pytest
 
@@ -540,12 +541,156 @@ def test_idle_connections_do_not_starve_a_new_client(client, server):
         started = time.monotonic()
         assert clients[-1].resolve(identifier).identifier == identifier
         assert time.monotonic() - started < REQUEST_TIMEOUT / 10
-        # the evicted connection is replaced on its client's next call
+        # every idle connection is still served on its client's next call
         for held in clients:
             assert held.resolve(identifier).identifier == identifier
     finally:
         for transport in transports:
             transport.close()
+
+
+def reply_status(replies) -> int:
+    """The status of the next reply on a connection's reader, read to
+    the end of its body."""
+    status = int(replies.readline().split()[1])
+    fields = dict(line.rstrip(b"\r\n").lower().split(b": ", 1)
+                  for line in iter(replies.readline, b"\r\n"))
+    replies.read(int(fields[b"content-length"]))
+    return status
+
+
+def test_idle_connections_outnumbering_the_workers_stay_open(server):
+    """Kept-alive connections wait for their next request holding no
+    worker, so none is closed to make room for another."""
+    request = b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n"
+    sockets = [socket.create_connection(server.address, timeout=5)
+               for _ in range(2 * service.WORKERS)]
+    readers = [sock.makefile("rb") for sock in sockets]
+    try:
+        for sock in sockets:
+            sock.sendall(request)
+        assert [reply_status(replies) for replies in readers] == [
+            200] * len(sockets)
+        time.sleep(0.3)
+        for sock in sockets:  # each on the same connection
+            sock.sendall(request)
+        assert [reply_status(replies) for replies in readers] == [
+            200] * len(sockets)
+    finally:
+        for sock, replies in zip(sockets, readers):
+            replies.close()
+            sock.close()
+
+
+def test_stop_does_not_wait_for_a_half_sent_request(tmp_path):
+    with Registry.open(tmp_path / "registry.log") as registry:
+        server = RegistryServer(registry).start()
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: reg")
+            time.sleep(0.1)  # a worker now reads the rest of the head
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1
+
+
+def test_stop_does_not_wait_for_a_client_that_never_pauses(tmp_path):
+    """A client that pipelines requests without a pause does not keep
+    its worker from ending."""
+    requests = b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n" * 50
+    done = threading.Event()
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            socket.socket() as sock:
+        server = RegistryServer(registry).start()
+        sock.settimeout(5)
+        sock.connect(server.address)
+
+        def send():
+            with suppress(OSError):  # the server has closed
+                while not done.is_set():
+                    sock.sendall(requests)
+
+        def drain():
+            with suppress(OSError):
+                while sock.recv(65536):
+                    pass
+
+        client = [threading.Thread(target=send),
+                  threading.Thread(target=drain)]
+        stopping = threading.Thread(target=server.stop)
+        try:
+            for thread in client:
+                thread.start()
+            time.sleep(0.2)
+            stopping.start()
+            stopping.join(1)
+            assert not stopping.is_alive()
+        finally:
+            done.set()
+            for thread in (*client, stopping):
+                if thread.ident is not None:
+                    thread.join(10)
+
+
+def test_a_silent_connection_is_closed_after_the_timeout(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT", 0.5)
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry) as server, \
+            socket.create_connection(server.address, timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n")
+        assert reply_status(replies) == 200
+        answered = time.monotonic()
+        assert replies.read() == b""
+        assert 0.4 < time.monotonic() - answered < 2.5
+
+
+def test_more_bytes_do_not_put_off_a_lingering_close(tmp_path,
+                                                     monkeypatch):
+    """After a refusal the server discards what the client still sends,
+    and closes REQUEST_TIMEOUT after the refusal however much comes."""
+    monkeypatch.setattr(service, "REQUEST_TIMEOUT", 0.5)
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry) as server, \
+            socket.create_connection(server.address, timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        sock.sendall(b"POST /nope HTTP/1.1\r\nHost: registry\r\n"
+                     b"Content-Length: 1000000\r\n\r\n")
+        assert reply_status(replies) == 404
+        refused = time.monotonic()
+        assert replies.read() == b""  # the server has shut its side
+        with pytest.raises(OSError):  # a reset once the server closes
+            while time.monotonic() - refused < 5:
+                sock.sendall(b"x" * 1000)
+                time.sleep(0.05)
+        assert time.monotonic() - refused < 2.5
+
+
+def test_a_connection_the_server_cannot_take_in_is_closed(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    """A failure between accept() and the epoll set closes that one
+    connection, and the worker that accepted it keeps serving."""
+    monkeypatch.setattr(service, "WORKERS", 2)
+    handler, failures = service._Handler, iter(range(service.WORKERS))
+
+    def failing(*args):
+        if next(failures, None) is not None:  # once for each worker
+            raise RuntimeError("no room for this connection")
+        return handler(*args)
+
+    monkeypatch.setattr(service, "_Handler", failing)
+    with Registry.open(tmp_path / "registry.log") as registry, \
+            RegistryServer(registry) as server:
+        for _ in range(service.WORKERS):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                assert sock.recv(1) == b""
+        with socket.create_connection(server.address, timeout=5) as sock, \
+                sock.makefile("rb") as replies:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: registry\r\n\r\n")
+            assert reply_status(replies) == 200
+    printed = capsys.readouterr().err
+    assert printed.count("RuntimeError: no room for this connection") == 2
 
 
 def test_stop_ends_every_worker_and_closes_the_socket(tmp_path):
@@ -584,8 +729,8 @@ def test_history_of_concurrent_clients_survives_a_reopen(tmp_path,
         with Transport() as transport:
             local = RegistryClient(base_url, transport=transport)
             for step in range(50):
-                if rng.random() < 0.05:  # idle long enough to be evicted
-                    time.sleep(3 * service.IDLE_GRACE)
+                if rng.random() < 0.05:  # idle between two requests
+                    time.sleep(0.3)
                 targets = shared + sorted(mine.keys() - set(shared))
                 action = rng.choice(("mint", "add", "add", "resolve"))
                 if action == "mint":
