@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from cuflinks.errors import CycleError, FormatError
 from cuflinks.fileio import append_durably, write_atomically
@@ -56,7 +56,15 @@ class TermDictionary:
 
     def _check_consistency(self) -> None:
         active_ids: dict[str, str] = {}
+        deprecated: list[str] = []
         for term, record in self.terms.items():
+            # a tab or line break would split or end the TSV row
+            row = term + record.canonical_id + record.definition
+            if not term or "\t" in row or "\n" in row or "\r" in row:
+                raise ValueError(
+                    f"unusable term {term!r}: it is empty, or it, its "
+                    f"canonical id or its definition holds a tab or line "
+                    f"break")
             if record.status not in (ACTIVE, DEPRECATED):
                 raise ValueError(f"term {term!r} has status {record.status!r}")
             if record.status == ACTIVE:
@@ -73,7 +81,8 @@ class TermDictionary:
                 if record.superseded_by is None:
                     raise ValueError(
                         f"deprecated term {term!r} names no successor")
-        for term in self.terms:
+                deprecated.append(term)
+        for term in deprecated:
             self._resolve(term)  # raises on cycles and dangling chains
 
     def _resolve(self, term: str) -> tuple[str, tuple[str, ...]]:
@@ -98,18 +107,19 @@ class TermDictionary:
             current = record.superseded_by
 
     @cached_property
-    def _near_index(self) -> dict[str, list[str]]:
-        """Each term's casefolded form, and every string made by deleting
-        one character from it, mapped to the terms that produce it.
+    def _folded(self) -> tuple[dict[str, list[str]], str, int]:
+        """Each term's casefolded form mapped to the terms that have it,
+        the characters those forms use, sorted, and the longest form's
+        length.
 
         Built on the first miss and kept with this instance only, so a
         dictionary made by add_term or deprecate_term gets its own.
         """
-        index: dict[str, list[str]] = {}
+        forms: dict[str, list[str]] = {}
         for term in self.terms:
-            for key in _deletion_neighbourhood(term.casefold()):
-                index.setdefault(key, []).append(term)
-        return index
+            forms.setdefault(term.casefold(), []).append(term)
+        alphabet = "".join(sorted(set().union(*forms)))
+        return forms, alphabet, max(map(len, forms), default=0)
 
 
 def validate_term(value: str, dictionary: TermDictionary) -> TermCheck:
@@ -126,51 +136,35 @@ def validate_term(value: str, dictionary: TermDictionary) -> TermCheck:
                          canonical_id=dictionary.terms[term].canonical_id,
                          followed=hops)
     folded = value.casefold()
-    # A term within one edit of folded shares a key with it: an insertion
-    # into the term puts folded among the term's deletions, a deletion
-    # puts the term among the deletions of folded, and a substitution or
-    # an adjacent swap leaves both with one deletion in common. The
-    # filter drops the extra candidates, such as abc and bca, which
-    # share bc.
-    index = dictionary._near_index
-    candidates = {term for key in _deletion_neighbourhood(folded)
-                  for term in index.get(key, ())}
-    suggestions: set[str] = set()
-    for term in candidates:
-        candidate = term.casefold()
-        if candidate == folded or _within_one_edit(folded, candidate):
-            resolved, _ = dictionary._resolve(term)
-            suggestions.add(resolved)
+    forms, alphabet, longest = dictionary._folded
+    if len(folded) > longest + 1:  # no form is one edit away
+        return TermCheck(ok=False)
+    suggestions = {dictionary._resolve(term)[0]
+                   for variant in _one_edit(folded, alphabet)
+                   for term in forms.get(variant, ())}
     return TermCheck(ok=False, suggestions=tuple(sorted(suggestions)))
 
 
-def _deletion_neighbourhood(text: str) -> set[str]:
-    """text and every string made by deleting one character from it."""
-    return {text} | {text[:i] + text[i + 1:] for i in range(len(text))}
+def _one_edit(text: str, alphabet: str) -> Iterator[str]:
+    """text, then every string one delete, adjacent swap, substitution or
+    insertion away from it.
 
-
-def _within_one_edit(a: str, b: str) -> bool:
-    """True if a equals b or differs by one edit (transpositions count)."""
-    if a == b:
-        return True
-    la, lb = len(a), len(b)
-    if abs(la - lb) > 1:
-        return False
-    if la == lb:
-        diffs = [i for i in range(la) if a[i] != b[i]]
-        if len(diffs) == 1:
-            return True
-        if len(diffs) == 2:
-            i, j = diffs
-            return j == i + 1 and a[i] == b[j] and a[j] == b[i]
-        return False
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    # b is a with one insertion: skip the first mismatch and compare tails
-    for i in range(la):
-        if a[i] != b[i]:
-            return a[i:] == b[i + 1:]
-    return True
+    Substituted and inserted characters come from alphabet: a form one
+    such edit away holds the new character, so the forms' own characters
+    are enough.
+    """
+    yield text
+    for i in range(len(text) + 1):
+        head, tail = text[:i], text[i:]
+        if tail:
+            rest = tail[1:]
+            yield head + rest
+            if rest:
+                yield head + rest[0] + tail[0] + rest[1:]
+            for char in alphabet:
+                yield head + char + rest
+        for char in alphabet:
+            yield head + char + tail
 
 
 # --- evolution ---------------------------------------------------------
@@ -186,8 +180,6 @@ def add_term(dictionary: TermDictionary, term: str, canonical_id: str,
     existing = dictionary.terms.get(term)
     if existing is not None and existing.status == ACTIVE:
         raise ValueError(f"term {term!r} is already active")
-    if "\t" in term or "\n" in term or not term:
-        raise ValueError(f"unusable term name {term!r}")
     updated = dict(dictionary.terms)
     updated[term] = TermRecord(canonical_id=canonical_id,
                                definition=definition)

@@ -639,6 +639,28 @@ def test_dict_check_reads_stdin_batch(runner, tmp_path):
     assert "rejected  status=compleet" in result.output
 
 
+@pytest.mark.parametrize("arguments", [
+    ["ok2", "x:2", "--definition", "two\tcols"],
+    ["ok2", "x:2", "--definition", "two\nlines"],
+    ["ok2", "x:2", "--definition", "carriage\rreturn"],
+    ["ok2", "x\t2"],
+    ["ok2", "x:\n2"],
+    ["ok\t2", "x:2"],
+])
+def test_dict_add_refuses_tabs_and_line_breaks(runner, tmp_path, arguments):
+    dictionary = tmp_path / "terms.tsv"
+    invoke(runner, ["dict", "add", "complete", "status:complete",
+                    "--actor", "curator", "--dict", str(dictionary)])
+    before = dictionary.read_bytes()
+    result = invoke(runner, ["dict", "add", *arguments, "--actor", "curator",
+                             "--dict", str(dictionary)], expect=2)
+    assert "unusable term" in result.stderr
+    assert dictionary.read_bytes() == before
+    changelog = tmp_path / "terms.tsv.changelog.jsonl"
+    assert len(changelog.read_text().splitlines()) == 1
+    invoke(runner, ["dict", "check", "complete", "--dict", str(dictionary)])
+
+
 def test_dict_check_without_dictionary_is_usage_error(runner):
     invoke(runner, ["dict", "check", "anything"], expect=2)
 

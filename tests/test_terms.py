@@ -6,9 +6,11 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,8 @@ import cuflinks
 from cuflinks.cli import main
 from cuflinks.errors import CycleError, FormatError
 from cuflinks.terms import (TermCheck, TermDictionary, TermRecord,
-                            _within_one_edit, add_term, append_changelog,
-                            deprecate_term, dump_dictionary, load_dictionary,
+                            add_term, append_changelog, deprecate_term,
+                            dump_dictionary, load_dictionary,
                             save_dictionary, validate_term)
 
 
@@ -39,7 +41,12 @@ def test_exact_match_ok():
 
 
 VARIANTS_WITH_SUGGESTIONS = ["Complete", "completed", "Completed",
-                             "inprogress", "In Progress"]
+                             "inprogress", "In Progress",
+                             # one longer than the longest term
+                             "in-progresss",
+                             # a character no term uses
+                             "compl\u20acte", "\u20accomplete",
+                             "complete\u20ac", "c\u00f6mplete"]
 VARIANTS_WITHOUT = ["completed contaminated", "inprgress"]
 
 
@@ -55,6 +62,45 @@ def test_far_miss_rejected_without_suggestion(value):
     check = validate_term(value, status_dictionary())
     assert not check.ok
     assert check.suggestions == ()
+
+
+def folding_dictionary() -> TermDictionary:
+    return TermDictionary(terms={
+        "Stra\u00dfe": TermRecord(canonical_id="geo:strasse"),
+        "\u0130zmir": TermRecord(canonical_id="geo:izmir"),
+        "ss": TermRecord(canonical_id="x:ss"),
+    })
+
+
+# casefold() turns \u00df into ss and \u0130 into i plus a combining dot
+@pytest.mark.parametrize("value, suggestions", [
+    ("strasse", ("Stra\u00dfe",)),
+    ("STRASSE", ("Stra\u00dfe",)),
+    ("strase", ("Stra\u00dfe",)),
+    ("stra\u00dfen", ("Stra\u00dfe",)),
+    ("izmir", ("\u0130zmir",)),
+    ("\u0130ZM\u0130R", ("\u0130zmir",)),
+    ("\u00df", ("ss",)),
+    ("s", ("ss",)),
+    ("\u00dfs", ("ss",)),
+    ("\u00df\u00df", ()),
+    ("stra\u00df\u00dfe", ()),
+])
+def test_suggestions_when_casefolding_changes_the_length(value, suggestions):
+    check = validate_term(value, folding_dictionary())
+    assert check == TermCheck(ok=False, suggestions=suggestions)
+
+
+def test_long_value_is_rejected_without_enumerating():
+    value = "c" * (1 << 20)
+    tracemalloc.start()
+    try:
+        check = validate_term(value, status_dictionary())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check == TermCheck(ok=False)
+    assert peak < 4 << 20  # the casefolded copy, not a neighbourhood
 
 
 def test_deprecated_term_resolves_through_chain():
@@ -110,6 +156,20 @@ def test_consistency_rejects_duplicate_canonical_ids():
         })
 
 
+@pytest.mark.parametrize("term, record", [
+    ("a\tb", TermRecord(canonical_id="x:a")),
+    ("a\nb", TermRecord(canonical_id="x:a")),
+    ("", TermRecord(canonical_id="x:a")),
+    ("a", TermRecord(canonical_id="x:\ta")),
+    ("a", TermRecord(canonical_id="x:a", definition="two\tcols")),
+    ("a", TermRecord(canonical_id="x:a", definition="two\nlines")),
+    ("a", TermRecord(canonical_id="x:a", definition="carriage\rreturn")),
+])
+def test_consistency_rejects_tabs_and_line_breaks(term, record):
+    with pytest.raises(ValueError):
+        TermDictionary(terms={term: record})
+
+
 def test_load_wraps_consistency_errors(tmp_path):
     path = tmp_path / "terms.tsv"
     path.write_text("a\tx:same\tactive\t\t\nb\tx:same\tactive\t\t\n")
@@ -157,7 +217,7 @@ def test_deprecate_rejecting_cycle_leaves_dictionary_usable():
 
 def test_new_dictionary_suggests_new_terms_and_old_stays(tmp_path):
     old = status_dictionary()
-    assert validate_term("faild", old).suggestions == ()  # index built
+    assert validate_term("faild", old).suggestions == ()  # map built
     added, _ = add_term(old, "failed", "status:failed", actor="c")
     assert validate_term("faild", added).suggestions == ("failed",)
     moved, _ = deprecate_term(added, "failed", "complete", actor="c")
@@ -261,19 +321,12 @@ def oracle_osa(a: str, b: str) -> int:
     return d[-1][-1]
 
 
-_SHORT = st.text(st.sampled_from("abc-"), max_size=6)
-
-
-@settings(max_examples=300)
-@given(_SHORT, _SHORT)
-def test_within_one_edit_matches_oracle(a, b):
-    assert _within_one_edit(a, b) == (oracle_osa(a, b) <= 1)
-
-
 # casefold() changes the length of \u00df, \u1e9e and \u0130, and folds the
-# Kelvin sign \u212a to k, so the index must work on folded forms
+# Kelvin sign \u212a to k, so suggestions must work on folded forms
 _FOLDING_CHAR = st.sampled_from("aAkKs\u00df\u1e9e\u0130i\u212a")
-_FOLDING = st.text(_FOLDING_CHAR, max_size=5)
+# values may also carry z, which no term uses
+_VALUE_CHAR = st.one_of(_FOLDING_CHAR, st.just("z"))
+_FOLDING = st.text(_FOLDING_CHAR, min_size=1, max_size=5)  # a term name
 
 
 @st.composite
@@ -296,16 +349,17 @@ def scan_suggestions(value: str, dictionary: TermDictionary) -> tuple:
     folded = value.casefold()
     return tuple(sorted(
         {dictionary._resolve(term)[0] for term in dictionary.terms
-         if _within_one_edit(folded, term.casefold())}))
+         if oracle_osa(folded, term.casefold()) <= 1}))
 
 
 @settings(max_examples=300)
-@given(dictionaries(), st.lists(_FOLDING, max_size=8), st.data())
+@given(dictionaries(), st.lists(st.text(_VALUE_CHAR, max_size=5),
+                                max_size=8), st.data())
 def test_indexed_suggestions_match_full_scan(dictionary, values, data):
     values, names = list(values), sorted(dictionary.terms)
     for name in data.draw(st.lists(st.sampled_from(names), max_size=4)):
         where = data.draw(st.integers(0, len(name)))
-        extra = data.draw(_FOLDING_CHAR)
+        extra = data.draw(_VALUE_CHAR)
         values += [name[:where] + extra + name[where:],
                    name[:where] + name[where + 1:],
                    name[:where] + extra + name[where + 1:],
@@ -318,6 +372,48 @@ def test_indexed_suggestions_match_full_scan(dictionary, values, data):
         else:
             assert check == TermCheck(
                 ok=False, suggestions=scan_suggestions(value, dictionary))
+
+
+# the dictionary has aliases one and two hops deep, mixed case, \u00df and
+# \u0130; the batch has hits and misses by case, each edit kind, a
+# character no term uses, and far misses
+PINNED_DICTIONARY = (
+    "term\tcanonical_id\tstatus\tsuperseded_by\tdefinition\n"
+    "ABORTED\tstatus:aborted\tactive\t\tstopped by hand\n"
+    "Finished\tstatus:finished\tactive\t\tdone and dusted\n"
+    "Stra\u00dfe\tgeo:strasse\tactive\t\ta street\n"
+    "complete\tstatus:complete\tactive\t\tall processing finished\n"
+    "done\tlocal:done\tdeprecated\tcomplete\tone hop\n"
+    "ended\tlocal:ended\tdeprecated\tdone\ttwo hops\n"
+    "in-progress\tstatus:in-progress\tactive\t\tstill running\n"
+    "\u0130zmir\tgeo:izmir\tactive\t\ta city\n"
+    "Cot\tx:cot\tactive\t\t\n"
+    "cat\tx:cat\tactive\t\t\n"
+    "cut\tx:cut\tactive\t\t\n"
+    "stopped\tlocal:stopped\tdeprecated\tABORTED\tone hop, mixed case\n")
+PINNED_BATCH = [
+    "complete", "done", "ended", "Finished", "Stra\u00dfe", "\u0130zmir",
+    "Complete", "FINISHED", "strasse", "STRASSE", "stra\u1e9ee", "Done",
+    "complet", "finishd", "don", "strase", "izmir",
+    "completee", "finnished", "endeds", "in--progress", "xcomplete",
+    "compleke", "dane", "aborteb", "Izmir",
+    "cmoplete", "fniished", "edned", "in-porgress", "tsopped",
+    "compl\u20acte", "\u20accomplete", "complete\u20ac", "d\u00f8ne",
+    "\u0130ZM\u0130R", "i\u0307zmir", "completed contaminated",
+    "inprgress", "xyz", "a" * 60, "stopped", "Stopped", "stoped",
+    "cxt", "ct", "COT", "cone"]
+
+
+def test_dict_check_json_bytes_are_pinned(tmp_path):
+    dictionary = tmp_path / "terms.tsv"
+    dictionary.write_text(PINNED_DICTIONARY, encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["dict", "check", "--dict", str(dictionary), "--field",
+               "status", "--json"],
+        input="".join(value + "\n" for value in PINNED_BATCH))
+    assert result.exit_code == 1
+    pinned = Path(__file__).parent / "data" / "dict_check_pinned.json"
+    assert result.stdout_bytes == pinned.read_bytes()
 
 
 # --- concurrent and killed writers -------------------------------------
